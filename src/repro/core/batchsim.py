@@ -1,72 +1,35 @@
-"""Vectorized sweep kernel: many configs over one compiled trace.
+"""Sweep API: many configs over one shared trace.
 
 Sweep experiments (fig15/fig16, the service batcher, policy studies)
 evaluate the *same* trace once per ``(strategy, voltage_offset, seed)``
-config.  The scalar :class:`~repro.core.simulator.TraceSimulator` pays
-the full per-config price every time: the galloping gap scans restart
-from scratch, the emulation-cycle table used to be rebuilt, and nothing
-learned about the trace is shared between configs.
+config.  :func:`simulate_sweep` runs one
+:class:`~repro.core.simulator.TraceSimulator` per config over that
+trace; the simulators share the trace's compiled
+:class:`~repro.core.simulator.TraceEpisode` (gap array, block-maximum
+index and per-threshold memo), so what one config learns about the
+trace's burst structure is reused by the next.
 
-This module compiles a :class:`~repro.workloads.trace.FaultableTrace`
-once into a :class:`TraceEpisode` — the gap array, a block-maximum
-index over it, and (lazily) the per-event emulation-cycle table — and
-then replays each config with :class:`_SweepReplay`, a **bit-exact**
-clone of the scalar simulator's state machine:
-
-* every RNG draw happens at the same call site, in the same order,
-  through the same ``DelaySpec.sample`` / transition-model methods;
-* every floating-point accumulation uses the same expression, in the
-  same order, so results are identical to the last bit;
-* only the *search* for the next oversized gap changes: instead of
-  re-scanning the gap array in 64 Ki-element chunks per burst, the
-  replay bisects the shared block-maximum index (first block whose max
-  gap exceeds the deadline) and scans at most a couple of 4 Ki blocks.
-  The scan threshold and stop index are provably identical to the
-  scalar scan (integer gaps: ``gap > x`` iff ``gap > floor(x)``).
-
-Exactness is enforced by ``tests/test_batchsim_equivalence.py`` (a
-property-based suite driving random traces and configs through both
-paths) and by the golden-value harness: experiments produce the same
-metrics whichever path they take.
-
-:func:`simulate_sweep` mirrors :meth:`SuitSystem.run_profile` semantics
-config-by-config — including the closed-form emulation estimate for the
-``e`` strategy and the multicore trace merge — and falls back to the
-scalar simulator for anything the replay cannot express (an enabled
-execution tracer, whose per-event telemetry the replay deliberately
-skips; ``force_scalar``).  Fallbacks are counted in the
-``batchsim_configs_total`` metric, path label ``scalar``.
+:class:`TraceEpisode` and :func:`compile_episode` live in
+:mod:`repro.core.simulator` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.core.estimates import emulation_estimate
-from repro.core.metrics import SimResult, imul_latency_overhead
+from repro.core.metrics import SimResult
 from repro.core.multicore import merged_multicore_trace
 from repro.core.params import StrategyParams, default_params_for
-from repro.core.simulator import _MAX_GAP, TraceSimulator
-from repro.core.strategy import (CpuControl, OperatingStrategy, SuitState,
-                                 strategy_for)
-from repro.emulation.dispatch import emulation_cycles
+from repro.core.simulator import TraceEpisode, TraceSimulator, compile_episode
+from repro.core.strategy import strategy_for
 from repro.hardware.cpu import CpuModel
-from repro.obs.profiling import profiled
 from repro.obs.registry import get_registry
-from repro.obs.tracer import get_tracer
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.trace import FaultableTrace
 
-#: Strategy names the fast replay expresses exactly.
-VECTOR_STRATEGIES = ("fV", "f", "V", "e")
-
-_BLOCK_SHIFT = 12
-_BLOCK = 1 << _BLOCK_SHIFT  # gap-index block size (events)
+__all__ = ["SweepConfig", "TraceEpisode", "compile_episode", "simulate_sweep"]
 
 #: Histogram bounds for sweep batch widths (configs per call).
 _WIDTH_BOUNDS = tuple(float(2 ** i) for i in range(11))
@@ -89,435 +52,11 @@ class SweepConfig:
     harden_imul: bool = True
 
 
-class TraceEpisode:
-    """A trace compiled for many-config replay.
-
-    Shares, across every config of a sweep: the gap array, a
-    block-maximum index over it (for O(log) burst-end lookup), the
-    per-threshold lists of candidate blocks, and the trace itself.
-    All shared state is immutable after compilation except the
-    threshold cache, which only memoises pure lookups.
-    """
-
-    __slots__ = ("trace", "indices", "gaps", "block_max", "_big_blocks")
-
-    def __init__(self, trace: FaultableTrace) -> None:
-        self.trace = trace
-        self.indices = trace.indices
-        self.gaps = trace.gaps()
-        n_events = trace.n_events
-        if n_events:
-            starts = np.arange(0, n_events, _BLOCK, dtype=np.int64)
-            self.block_max = np.maximum.reduceat(self.gaps, starts)
-        else:
-            self.block_max = np.empty(0, dtype=np.int64)
-        self._big_blocks: Dict[int, List[int]] = {}
-
-    def big_blocks(self, threshold: int) -> List[int]:
-        """Sorted ids of blocks containing a gap above *threshold*."""
-        bigs = self._big_blocks.get(threshold)
-        if bigs is None:
-            bigs = np.flatnonzero(self.block_max > threshold).tolist()
-            self._big_blocks[threshold] = bigs
-        return bigs
-
-    def first_big_gap(self, start: int, hi: int, threshold: int,
-                      buf: np.ndarray) -> int:
-        """First event ``j`` in ``[start, hi)`` with ``gaps[j] >
-        threshold``, else *hi* — the stop index of a bulk consume.
-
-        Identical to scanning ``gaps[start:hi]`` left to right, but
-        skips straight to candidate blocks via :meth:`big_blocks`.
-        *buf* is a caller-owned bool scratch of at least ``_BLOCK``.
-        """
-        bigs = self.big_blocks(threshold)
-        gaps = self.gaps
-        i = bisect_left(bigs, start >> _BLOCK_SHIFT)
-        n_big = len(bigs)
-        while i < n_big:
-            block_lo = bigs[i] << _BLOCK_SHIFT
-            if block_lo >= hi:
-                return hi
-            lo = block_lo if block_lo > start else start
-            end = block_lo + _BLOCK
-            if end > hi:
-                end = hi
-            m = end - lo
-            if m > 0:
-                big = np.greater(gaps[lo:end], threshold, out=buf[:m])
-                k = int(np.argmax(big))
-                if big[k]:
-                    return lo + k
-            i += 1
-        return hi
-
-
-def compile_episode(trace: FaultableTrace) -> TraceEpisode:
-    """Compile (and cache on the trace) the episode representation."""
-    episode = getattr(trace, "_batchsim_episode", None)
-    if episode is None:
-        with profiled("batchsim.compile", "batchsim",
-                      args={"trace": trace.name,
-                            "n_events": trace.n_events}):
-            episode = TraceEpisode(trace)
-        trace._batchsim_episode = episode
-    return episode
-
-
-class _SweepReplay(CpuControl):
-    """Bit-exact fast replay of :class:`TraceSimulator`.
-
-    The state machine, accounting expressions and RNG call sites are
-    copied from the scalar simulator one-to-one (see its methods of the
-    same names); the differences are purely mechanical: no tracer, no
-    timeline, the deadline timer and thrashing window are inlined, and
-    ``_bulk_consume`` resolves its stop index through the episode's
-    block index instead of re-scanning the gap array.
-
-    Any semantic change to ``TraceSimulator`` must be mirrored here;
-    the equivalence suite fails loudly if the two drift apart.
-    """
-
-    def __init__(self, episode: TraceEpisode, cpu: CpuModel,
-                 profile: WorkloadProfile, strategy: OperatingStrategy,
-                 voltage_offset: float, seed: int = 0,
-                 harden_imul: bool = True) -> None:
-        if voltage_offset >= 0:
-            raise ValueError("voltage_offset must be negative")
-        self._ep = episode
-        self.cpu = cpu
-        self.profile = profile
-        self.trace = episode.trace
-        self.strategy = strategy
-        self.voltage_offset = voltage_offset
-        self.harden_imul = harden_imul
-        self._rng = np.random.default_rng(seed)
-
-        points = cpu.operating_points(voltage_offset)
-        self._speed = {SuitState.E: points.speed_e,
-                       SuitState.CF: points.speed_cf,
-                       SuitState.CV: points.speed_cv}
-        self._power = {SuitState.E: points.power_e,
-                       SuitState.CF: points.power_cf,
-                       SuitState.CV: points.power_cv}
-        self._instr_rate_base = self.trace.ipc * cpu.nominal_frequency
-
-        self._t = 0.0
-        self._pos = 0
-        self._ev = 0
-        self._state = SuitState.E
-        self._power_now = self._power[SuitState.E]
-        self._disabled = True
-        self._pending = None  # (completion time, target, power_only)
-        self._deadline_s: Optional[float] = None
-        self._fires_at: Optional[float] = None
-        self._thrash_timespan = strategy.params.thrash_timespan_s
-        self._trap_times: List[float] = []
-        self._emulated_current = False
-
-        self._energy = 0.0
-        self._state_time: Dict[str, float] = {
-            "E": 0.0, "Cf": 0.0, "CV": 0.0, "stall": 0.0}
-        self._n_exceptions = 0
-        self._n_switches = 0
-        self._n_timer_fires = 0
-        self._n_thrash = 0
-        self._block_buf = np.empty(_BLOCK, dtype=bool)
-
-    # -- CpuControl (identical to TraceSimulator minus telemetry) ------
-
-    @property
-    def now_s(self) -> float:
-        return self._t
-
-    def change_pstate_wait(self, target: SuitState) -> None:
-        self._pending = None
-        if target is self._state:
-            return
-        if (target in (SuitState.CF, SuitState.CV)
-                and self._state in (SuitState.CF, SuitState.CV)):
-            self._set_state(target if target is SuitState.CV else self._state)
-            return
-        if target is SuitState.CF:
-            delay, _stall = self.cpu.transitions.frequency_change(self._rng)
-        elif target is SuitState.CV:
-            if self.cpu.transitions.voltage is None:
-                raise ValueError(f"{self.cpu.name} has no voltage control; "
-                                 "use the f or e strategy")
-            delay, _stall = self.cpu.transitions.pstate_change(
-                self._rng, needs_voltage=True)
-        else:
-            delay, _stall = self.cpu.transitions.frequency_change(self._rng)
-        self._stall(delay)
-        self._set_state(target)
-        self._n_switches += 1
-
-    def change_pstate_async(self, target: SuitState) -> None:
-        if target is self._state and self._pending is None:
-            return
-        if target is SuitState.CV:
-            if self.cpu.transitions.voltage is None:
-                raise ValueError(f"{self.cpu.name} has no voltage control")
-            delay = self.cpu.transitions.voltage_change(self._rng)
-            self._pending = (self._t + delay, target, False)
-            return
-        if target is SuitState.E:
-            if (self._state is SuitState.CV
-                    and self.cpu.transitions.voltage is not None):
-                delay = self.cpu.transitions.voltage_change(self._rng)
-            else:
-                delay, _ = self.cpu.transitions.frequency_change(self._rng)
-            old_power = self._power_now
-            self._set_state(SuitState.E)
-            self._power_now = old_power
-            self._pending = (self._t + delay, target, True)
-            return
-        delay, _ = self.cpu.transitions.frequency_change(self._rng)
-        self._pending = (self._t + delay, target, False)
-
-    def set_instructions_disabled(self, disabled: bool) -> None:
-        self._disabled = disabled
-
-    def set_timer_interrupt(self, deadline_s: float) -> None:
-        if deadline_s > self.strategy.params.deadline_s:
-            self._n_thrash += 1
-        if deadline_s <= 0:
-            raise ValueError("deadline must be positive")
-        self._deadline_s = deadline_s
-        self._fires_at = self._t + deadline_s
-
-    def exception_count_in_timespan(self, timespan_s: float) -> int:
-        if abs(timespan_s - self._thrash_timespan) > 1e-12:
-            raise ValueError("timespan differs from the configured p_ts")
-        times = self._trap_times
-        cutoff = self._t - self._thrash_timespan
-        drop = 0
-        for t in times:
-            if t < cutoff:
-                drop += 1
-            else:
-                break
-        if drop:
-            del times[:drop]
-        return len(times)
-
-    def emulate_current_instruction(self) -> None:
-        opcode = self.trace.event_opcode(self._ev)
-        call = self.cpu.emulation_call_delay.sample(self._rng)
-        call = max(call - self.cpu.exception_delay.mean_s, 0.0)
-        freq = self.cpu.nominal_frequency * self._speed[self._state]
-        routine = emulation_cycles(opcode) / freq
-        self._stall(call + routine)
-        self._emulated_current = True
-
-    # -- run loop ------------------------------------------------------
-
-    def run(self) -> SimResult:
-        trace = self.trace
-        n = trace.n_instructions
-        n_events = trace.n_events
-        idx = self._ep.indices
-        state_time = self._state_time
-
-        while self._pos < n:
-            ev = self._ev
-            next_idx = int(idx[ev]) if ev < n_events else n
-            rate = self._instr_rate_base * self._speed[self._state]
-            t_arrive = self._t + max(next_idx - self._pos, 0) / rate
-
-            pending = self._pending
-            t_pending = pending[0] if pending else np.inf
-            fires_at = self._fires_at
-            t_timer = fires_at if fires_at is not None else np.inf
-
-            t_next = min(t_arrive, t_pending, t_timer)
-            # _advance_to, inlined.
-            dt = max(t_next - self._t, 0.0)
-            self._pos = min(self._pos + dt * rate, n)
-            self._energy += self._power_now * dt
-            label = self._state.value
-            state_time[label] = state_time.get(label, 0.0) + dt
-            self._t += dt
-
-            if t_next == t_pending:
-                self._complete_pending()
-            elif t_next == t_timer:
-                # _fire_timer, inlined (timer.cancel + count + handler).
-                self._deadline_s = None
-                self._fires_at = None
-                self._n_timer_fires += 1
-                self.strategy.on_timer_interrupt(self)
-            elif ev < n_events:
-                self._handle_event()
-            else:
-                break
-        return self._result()
-
-    # -- internals (mirroring TraceSimulator) --------------------------
-
-    def _stall(self, duration_s: float) -> None:
-        self._energy += self._power_now * duration_s
-        self._state_time["stall"] += duration_s
-        self._t += duration_s
-        if self._fires_at is not None:  # timer.defer: clock-gated
-            self._fires_at += duration_s
-
-    def _set_state(self, state: SuitState) -> None:
-        if state is not self._state:
-            self._state = state
-            self._power_now = self._power[state]
-
-    def _complete_pending(self) -> None:
-        _, target, power_only = self._pending
-        self._pending = None
-        if power_only:
-            self._power_now = self._power[target]
-            return
-        if target is SuitState.CV and self._state is SuitState.CF:
-            _, stall = self.cpu.transitions.frequency_change(self._rng)
-            self._stall(stall)
-            self._n_switches += 1
-        self._set_state(target)
-
-    def _handle_event(self) -> None:
-        if not self._disabled:
-            if self._deadline_s is not None:  # timer.reset
-                self._fires_at = self._t + self._deadline_s
-            self._ev += 1
-            self._bulk_consume()
-            return
-        self._n_exceptions += 1
-        # thrash.record, inlined (times are monotone by construction).
-        times = self._trap_times
-        t = self._t
-        times.append(t)
-        cutoff = t - self._thrash_timespan
-        drop = 0
-        for past in times:
-            if past < cutoff:
-                drop += 1
-            else:
-                break
-        if drop:
-            del times[:drop]
-        self._stall(self.cpu.exception_delay.sample(self._rng))
-        self._emulated_current = False
-        self.strategy.on_disabled_instruction(self)
-        if self._emulated_current:
-            self._ev += 1
-            self._bulk_emulate()
-            return
-        if self._disabled:
-            raise RuntimeError(
-                f"strategy {self.strategy.name!r} left the instruction "
-                "disabled without emulating it; it can never retire")
-        if self._deadline_s is not None:  # timer.reset
-            self._fires_at = self._t + self._deadline_s
-        self._ev += 1
-        self._bulk_consume()
-
-    def _bulk_consume(self) -> None:
-        if self._disabled or self._fires_at is None:
-            return
-        ep = self._ep
-        rate = self._instr_rate_base * self._speed[self._state]
-        deadline_instr = self._deadline_s * rate
-
-        hi = self.trace.n_events
-        if self._pending is not None:
-            horizon_pos = self._pos + (self._pending[0] - self._t) * rate
-            hi = int(np.searchsorted(ep.indices, math.ceil(horizon_pos),
-                                     side="left"))
-        start = self._ev
-        if start >= hi:
-            return
-        threshold = min(math.floor(deadline_instr), _MAX_GAP)
-        stop = ep.first_big_gap(start, hi, threshold, self._block_buf)
-        last = stop - 1
-        if last < start:
-            return
-        target_pos = int(ep.indices[last]) + 1
-        dt = (target_pos - self._pos) / rate
-        self._energy += self._power_now * dt
-        label = self._state.value
-        self._state_time[label] = self._state_time.get(label, 0.0) + dt
-        self._t += dt
-        self._pos = target_pos
-        self._ev = last + 1
-        self._fires_at = self._t + self._deadline_s  # timer.reset
-
-    def _bulk_emulate(self) -> None:
-        if (self.strategy.switches_curves or self._fires_at is not None
-                or self._pending is not None):
-            return
-        trace = self.trace
-        n_rem = trace.n_events - self._ev
-        if n_rem <= 0:
-            return
-        rate = self._instr_rate_base * self._speed[self._state]
-        freq = self.cpu.nominal_frequency * self._speed[self._state]
-        target_pos = int(trace.indices[-1]) + 1
-        run_time = (target_pos - self._pos) / rate
-        call = self.cpu.emulation_call_delay
-        calls = np.clip(
-            self._rng.normal(call.mean_s, call.sigma_s or 0.0, size=n_rem),
-            call.mean_s * 0.25, call.mean_s * 4.0)
-        routines = trace.emulation_cycle_table()[trace.opcodes[self._ev:]] / freq
-        stall_total = float(calls.sum() + routines.sum())
-        self._energy += self._power_now * (run_time + stall_total)
-        self._state_time[self._state.value] += run_time
-        self._state_time["stall"] += stall_total
-        self._t += run_time + stall_total
-        self._pos = target_pos
-        self._ev = trace.n_events
-        self._n_exceptions += n_rem
-
-    def _result(self) -> SimResult:
-        duration = self._t
-        energy = self._energy
-        if self.harden_imul:
-            tax = 1.0 + imul_latency_overhead(self.profile, extra_cycles=1)
-            duration *= tax
-            energy *= tax
-            for key in self._state_time:
-                self._state_time[key] *= tax
-        return SimResult(
-            workload=self.trace.name,
-            cpu_name=self.cpu.name,
-            strategy=self.strategy.name,
-            voltage_offset=self.voltage_offset,
-            duration_s=duration,
-            baseline_duration_s=self.trace.duration_s(
-                self.cpu.nominal_frequency),
-            energy_rel=energy,
-            state_time=dict(self._state_time),
-            n_exceptions=self._n_exceptions,
-            n_switches=self._n_switches,
-            n_timer_fires=self._n_timer_fires,
-            n_thrash_stretches=self._n_thrash,
-            timeline=None,
-            timeline_truncated=False,
-        )
-
-
-def replay_config(episode: TraceEpisode, cpu: CpuModel,
-                  profile: WorkloadProfile, config: SweepConfig,
-                  params: StrategyParams) -> SimResult:
-    """Run one config through the fast replay (event-level semantics,
-    i.e. what ``TraceSimulator.run()`` would return — including a
-    *simulated* ``e`` run, unlike :func:`simulate_sweep`'s estimate)."""
-    strategy = strategy_for(config.strategy, params)
-    return _SweepReplay(episode, cpu, profile, strategy,
-                        config.voltage_offset, seed=config.seed,
-                        harden_imul=config.harden_imul).run()
-
-
 def simulate_sweep(cpu: CpuModel, profile: WorkloadProfile,
                    trace: FaultableTrace,
                    configs: Sequence[SweepConfig], *,
                    params: Optional[StrategyParams] = None,
-                   n_cores: int = 1,
-                   force_scalar: bool = False) -> List[SimResult]:
+                   n_cores: int = 1) -> List[SimResult]:
     """Evaluate many configs over one trace, sharing the compiled
     episode.
 
@@ -526,14 +65,9 @@ def simulate_sweep(cpu: CpuModel, profile: WorkloadProfile,
     estimate (raising for enclave workloads), every other strategy is
     simulated event-by-event, and ``n_cores > 1`` on a shared-domain
     CPU merges the trace once for all configs.  Results are returned in
-    config order.
-
-    Configs the fast replay cannot express run through the scalar
-    :class:`TraceSimulator`: ``force_scalar``, an enabled execution
-    tracer (the replay emits no per-event telemetry — the scalar path
-    keeps ``python -m repro trace fig15_strategies`` rich), and unknown
-    strategies (rejected like the scalar path would reject them).  The
-    path taken is counted in the ``batchsim_configs_total`` metric.
+    config order.  The ``batchsim_configs_total`` metric counts configs
+    by path: ``vector`` (simulated over the shared episode) and
+    ``estimate``.
     """
     if params is None:
         params = default_params_for(cpu.vendor)
@@ -554,7 +88,6 @@ def simulate_sweep(cpu: CpuModel, profile: WorkloadProfile,
     sim_trace = trace
     if n_cores > 1 and not cpu.topology.per_core_frequency:
         sim_trace = merged_multicore_trace(trace, n_cores)
-    episode: Optional[TraceEpisode] = None
 
     results: List[SimResult] = []
     for config in configs:
@@ -571,19 +104,8 @@ def simulate_sweep(cpu: CpuModel, profile: WorkloadProfile,
                                               config.voltage_offset))
             continue
         strategy = strategy_for(config.strategy, params)
-        if (force_scalar or get_tracer().enabled
-                or config.strategy not in VECTOR_STRATEGIES):
-            paths.inc(path="scalar")
-            sim = TraceSimulator(
-                cpu=cpu, profile=profile, trace=sim_trace,
-                strategy=strategy, voltage_offset=config.voltage_offset,
-                seed=config.seed, harden_imul=config.harden_imul)
-            results.append(sim.run())
-            continue
         paths.inc(path="vector")
-        if episode is None:
-            episode = compile_episode(sim_trace)
-        results.append(_SweepReplay(
-            episode, cpu, profile, strategy, config.voltage_offset,
+        results.append(TraceSimulator(
+            cpu, profile, sim_trace, strategy, config.voltage_offset,
             seed=config.seed, harden_imul=config.harden_imul).run())
     return results

@@ -10,34 +10,116 @@ frequency change (with stall) and voltage settle.
 The simulator implements the :class:`~repro.core.strategy.CpuControl`
 interface, so the strategies read exactly like the paper's Listing 1.
 
-Dense trap episodes are consumed in bulk (vectorised over the gap
-array), which keeps multi-million-event traces tractable.
+Dense trap episodes are consumed in bulk, which keeps multi-million-
+event traces tractable: each trace is compiled once into a
+:class:`TraceEpisode` (cached on the trace), whose block-maximum index
+over the gap array finds the end of a burst without rescanning it.
+Every run over the same trace — a sweep's configs, repeated service
+requests — shares that episode.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.metrics import SimResult, imul_latency_overhead
-from repro.core.params import StrategyParams
 from repro.core.strategy import CpuControl, OperatingStrategy, SuitState
 from repro.core.thrashing import ThrashingMonitor
 from repro.emulation.dispatch import emulation_cycles
 from repro.hardware.cpu import CpuModel
-from repro.kernel.timer import DeadlineTimer
+from repro.obs.profiling import profiled
 from repro.obs.tracer import TRACK_SIM, get_tracer
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.trace import FaultableTrace
 
 _TIMELINE_CAP = 200_000
-_SCAN_CHUNK = 65_536
 #: Gap thresholds are clamped here so they always fit int64; gaps are
 #: bounded by n_instructions, far below it, so the clamp never changes
 #: a comparison outcome.
 _MAX_GAP = 2 ** 62
+
+_BLOCK_SHIFT = 12
+_BLOCK = 1 << _BLOCK_SHIFT  # gap-index block size (events)
+
+
+class TraceEpisode:
+    """A trace compiled for bulk consumption.
+
+    Holds the gap array, a block-maximum index over it (for O(log)
+    burst-end lookup) and the per-threshold lists of candidate blocks.
+    All of it is immutable after compilation except the threshold
+    cache, which only memoises pure lookups, so every run over the
+    trace can share one episode.  The episode holds no reference to its
+    trace: the trace owns it (see :func:`compile_episode`), and a cycle
+    would keep a large trace alive until the cyclic GC runs.
+    """
+
+    __slots__ = ("indices", "gaps", "block_max", "_big_blocks")
+
+    def __init__(self, trace: FaultableTrace) -> None:
+        self.indices = trace.indices
+        self.gaps = trace.gaps()
+        n_events = trace.n_events
+        if n_events:
+            starts = np.arange(0, n_events, _BLOCK, dtype=np.int64)
+            self.block_max = np.maximum.reduceat(self.gaps, starts)
+        else:
+            self.block_max = np.empty(0, dtype=np.int64)
+        self._big_blocks: Dict[int, List[int]] = {}
+
+    def big_blocks(self, threshold: int) -> List[int]:
+        """Sorted ids of blocks containing a gap above *threshold*."""
+        bigs = self._big_blocks.get(threshold)
+        if bigs is None:
+            bigs = np.flatnonzero(self.block_max > threshold).tolist()
+            self._big_blocks[threshold] = bigs
+        return bigs
+
+    def first_big_gap(self, start: int, hi: int, threshold: int,
+                      buf: np.ndarray) -> int:
+        """First event ``j`` in ``[start, hi)`` with ``gaps[j] >
+        threshold``, else *hi* — the stop index of a bulk consume.
+
+        Identical to scanning ``gaps[start:hi]`` left to right, but
+        skips straight to candidate blocks via :meth:`big_blocks`.
+        *buf* is a caller-owned bool scratch of at least ``_BLOCK``.
+        """
+        bigs = self.big_blocks(threshold)
+        gaps = self.gaps
+        i = bisect_left(bigs, start >> _BLOCK_SHIFT)
+        n_big = len(bigs)
+        while i < n_big:
+            block_lo = bigs[i] << _BLOCK_SHIFT
+            if block_lo >= hi:
+                return hi
+            lo = block_lo if block_lo > start else start
+            end = block_lo + _BLOCK
+            if end > hi:
+                end = hi
+            m = end - lo
+            if m > 0:
+                big = np.greater(gaps[lo:end], threshold, out=buf[:m])
+                k = int(np.argmax(big))
+                if big[k]:
+                    return lo + k
+            i += 1
+        return hi
+
+
+def compile_episode(trace: FaultableTrace) -> TraceEpisode:
+    """Compile (and cache on the trace) the episode representation."""
+    episode = getattr(trace, "_batchsim_episode", None)
+    if episode is None:
+        with profiled("batchsim.compile", "batchsim",
+                      args={"trace": trace.name,
+                            "n_events": trace.n_events}):
+            episode = TraceEpisode(trace)
+        trace._batchsim_episode = episode
+    return episode
 
 
 class TraceSimulator(CpuControl):
@@ -69,11 +151,12 @@ class TraceSimulator(CpuControl):
         self.strategy = strategy
         self.voltage_offset = voltage_offset
         self.harden_imul = harden_imul
+        self._episode = compile_episode(trace)
         self._rng = np.random.default_rng(seed)
-        self._record = record_timeline
         # Telemetry: events are only built when a recording tracer is
         # installed (one boolean check per site keeps the hot path free).
         self._tracer = get_tracer()
+        self._traced = self._tracer.enabled
 
         points = cpu.operating_points(voltage_offset)
         self._speed = {SuitState.E: points.speed_e,
@@ -96,7 +179,11 @@ class TraceSimulator(CpuControl):
         # accounted) at E immediately, but package power only drops once
         # the regulator settles.
         self._pending: Optional[Tuple[float, SuitState, bool]] = None
-        self._timer = DeadlineTimer()
+        # The deadline timer (see repro.kernel.timer.DeadlineTimer),
+        # inlined: the armed deadline each reset restarts from, and the
+        # absolute expiry (None while disarmed).
+        self._deadline_s: Optional[float] = None
+        self._fires_at: Optional[float] = None
         self._thrash = ThrashingMonitor(
             strategy.params.thrash_timespan_s, strategy.params.thrash_exception_count)
         self._emulated_current = False
@@ -110,7 +197,7 @@ class TraceSimulator(CpuControl):
         self._n_thrash = 0
         self._timeline: Optional[List[Tuple[float, str]]] = [] if record_timeline else None
         self._timeline_truncated = False
-        self._scan_buf = np.empty(_SCAN_CHUNK, dtype=bool)
+        self._block_buf = np.empty(_BLOCK, dtype=bool)
 
     # ------------------------------------------------------------------
     # CpuControl interface (what the strategies drive, as in Listing 1)
@@ -151,7 +238,7 @@ class TraceSimulator(CpuControl):
             if self.cpu.transitions.voltage is None:
                 raise ValueError(f"{self.cpu.name} has no voltage control")
             delay = self.cpu.transitions.voltage_change(self._rng)
-            if self._tracer.enabled:
+            if self._traced:
                 self._tracer.complete("voltage settle", "sim", ts_s=self._t,
                                       dur_s=delay, track=TRACK_SIM,
                                       args={"target": target.value})
@@ -163,7 +250,7 @@ class TraceSimulator(CpuControl):
             # late, once the voltage has actually dropped.
             if self._state is SuitState.CV and self.cpu.transitions.voltage is not None:
                 delay = self.cpu.transitions.voltage_change(self._rng)
-                if self._tracer.enabled:
+                if self._traced:
                     self._tracer.complete("voltage settle", "sim",
                                           ts_s=self._t, dur_s=delay,
                                           track=TRACK_SIM,
@@ -186,7 +273,10 @@ class TraceSimulator(CpuControl):
         """Arm the deadline timer (stretched values count as thrashing)."""
         if deadline_s > self.strategy.params.deadline_s:
             self._n_thrash += 1
-        self._timer.arm(self._t, deadline_s)
+        if deadline_s <= 0:
+            raise ValueError("deadline must be positive")
+        self._deadline_s = deadline_s
+        self._fires_at = self._t + deadline_s
 
     def exception_count_in_timespan(self, timespan_s: float) -> int:
         """#DO exceptions within the trailing *timespan_s* (must be p_ts)."""
@@ -207,7 +297,7 @@ class TraceSimulator(CpuControl):
         call = max(call - self.cpu.exception_delay.mean_s, 0.0)
         freq = self.cpu.nominal_frequency * self._speed[self._state]
         routine = emulation_cycles(opcode) / freq
-        if self._tracer.enabled:
+        if self._traced:
             self._tracer.complete("emulation", "sim", ts_s=self._t,
                                   dur_s=call + routine, track=TRACK_SIM,
                                   args={"opcode": opcode.name})
@@ -220,27 +310,46 @@ class TraceSimulator(CpuControl):
 
     def run(self) -> SimResult:
         """Execute the trace to completion and return the result."""
-        trace = self.trace
-        n = trace.n_instructions
-        idx = trace.indices
-        self._log_state()
+        n = self.trace.n_instructions
+        n_events = self.trace.n_events
+        idx = self._episode.indices
+        state_time = self._state_time
+        if self._timeline is not None:
+            self._log_state()
 
+        # The hot loop: advancing time and accounting are inlined.
         while self._pos < n:
-            next_idx = int(idx[self._ev]) if self._ev < trace.n_events else n
-            rate = self._rate()
+            ev = self._ev
+            next_idx = int(idx[ev]) if ev < n_events else n
+            rate = self._instr_rate_base * self._speed[self._state]
             t_arrive = self._t + max(next_idx - self._pos, 0) / rate
 
-            t_pending = self._pending[0] if self._pending else np.inf
-            t_timer = self._timer.fires_at if self._timer.armed else np.inf
+            pending = self._pending
+            t_pending = pending[0] if pending else np.inf
+            fires_at = self._fires_at
+            t_timer = fires_at if fires_at is not None else np.inf
 
             t_next = min(t_arrive, t_pending, t_timer)
-            self._advance_to(t_next, rate)
+            # A bulk jump can overshoot a pending completion by a fraction
+            # of one instruction; such events then fire "immediately".
+            dt = max(t_next - self._t, 0.0)
+            self._pos = min(self._pos + dt * rate, n)
+            self._energy += self._power_now * dt
+            label = self._state.value
+            state_time[label] = state_time.get(label, 0.0) + dt
+            self._t += dt
 
             if t_next == t_pending:
                 self._complete_pending()
             elif t_next == t_timer:
-                self._fire_timer()
-            elif self._ev < trace.n_events:
+                self._deadline_s = None  # the timer disarms as it fires
+                self._fires_at = None
+                self._n_timer_fires += 1
+                if self._traced:
+                    self._tracer.instant("timer fire", "sim", ts_s=self._t,
+                                         track=TRACK_SIM)
+                self.strategy.on_timer_interrupt(self)
+            elif ev < n_events:
                 self._handle_event()
             else:
                 break  # reached end of trace
@@ -251,51 +360,37 @@ class TraceSimulator(CpuControl):
     # Internals
     # ------------------------------------------------------------------
 
-    def _rate(self) -> float:
-        return self._instr_rate_base * self._speed[self._state]
-
-    def _advance_to(self, t_target: float, rate: float) -> None:
-        # A bulk jump can overshoot a pending completion by a fraction of
-        # one instruction; such events then fire "immediately".
-        dt = max(t_target - self._t, 0.0)
-        self._pos = min(self._pos + dt * rate, self.trace.n_instructions)
-        self._account(dt, self._state.value)
-        self._t += dt
-
     def _stall(self, duration_s: float) -> None:
         """Advance time without retiring instructions.
 
         The deadline countdown is core-clock driven, so it freezes while
         the core is stalled.
         """
-        self._account(duration_s, "stall")
+        self._energy += self._power_now * duration_s
+        self._state_time["stall"] += duration_s
         self._t += duration_s
-        self._timer.defer(duration_s)
-
-    def _account(self, dt: float, label: str) -> None:
-        self._energy += self._power_now * dt
-        self._state_time[label] = self._state_time.get(label, 0.0) + dt
+        if self._fires_at is not None:
+            self._fires_at += duration_s
 
     def _set_state(self, state: SuitState) -> None:
         if state is not self._state:
-            if self._tracer.enabled:
+            if self._traced:
                 self._tracer.instant(
                     "p-state change", "sim", ts_s=self._t, track=TRACK_SIM,
                     args={"from": self._state.value, "to": state.value})
             self._state = state
             self._power_now = self._power[state]
-            self._log_state()
+            if self._timeline is not None:
+                self._log_state()
 
     def _log_state(self) -> None:
-        if self._timeline is not None:
-            if len(self._timeline) < _TIMELINE_CAP:
-                label = self._state.value + ("/disabled" if self._disabled else "")
-                self._timeline.append((self._t, label))
-            else:
-                self._timeline_truncated = True
+        if len(self._timeline) < _TIMELINE_CAP:
+            label = self._state.value + ("/disabled" if self._disabled else "")
+            self._timeline.append((self._t, label))
+        else:
+            self._timeline_truncated = True
 
     def _complete_pending(self) -> None:
-        assert self._pending is not None
         _, target, power_only = self._pending
         self._pending = None
         if power_only:
@@ -309,25 +404,18 @@ class TraceSimulator(CpuControl):
             self._n_switches += 1
         self._set_state(target)
 
-    def _fire_timer(self) -> None:
-        self._timer.cancel()
-        self._n_timer_fires += 1
-        if self._tracer.enabled:
-            self._tracer.instant("timer fire", "sim", ts_s=self._t,
-                                 track=TRACK_SIM)
-        self.strategy.on_timer_interrupt(self)
-
     def _handle_event(self) -> None:
         if not self._disabled:
             # Enabled faultable execution: only resets the deadline.
-            self._timer.reset(self._t)
+            if self._deadline_s is not None:
+                self._fires_at = self._t + self._deadline_s
             self._ev += 1
             self._bulk_consume()
             return
         # Disabled: #DO exception.
         self._n_exceptions += 1
         self._thrash.record(self._t)
-        if self._tracer.enabled:
+        if self._traced:
             self._tracer.instant(
                 "#DO trap", "sim", ts_s=self._t, track=TRACK_SIM,
                 args={"opcode": self.trace.event_opcode(self._ev).name,
@@ -335,7 +423,7 @@ class TraceSimulator(CpuControl):
         self._stall(self.cpu.exception_delay.sample(self._rng))
         self._emulated_current = False
         self.strategy.on_disabled_instruction(self)
-        if self._tracer.enabled:
+        if self._traced:
             self._tracer.instant(
                 "decision: emulate" if self._emulated_current
                 else "decision: curve-switch",
@@ -350,7 +438,8 @@ class TraceSimulator(CpuControl):
                 f"strategy {self.strategy.name!r} left the instruction disabled "
                 "without emulating it; it can never retire")
         # Re-execute on the conservative curve; resets the fresh timer.
-        self._timer.reset(self._t)
+        if self._deadline_s is not None:
+            self._fires_at = self._t + self._deadline_s
         self._ev += 1
         self._bulk_consume()
 
@@ -361,68 +450,51 @@ class TraceSimulator(CpuControl):
         Stops at the first gap exceeding the deadline, at the pending
         completion time, or at the end of the events.
         """
-        if self._disabled or not self._timer.armed:
+        if self._disabled or self._fires_at is None:
             return
-        trace = self.trace
-        gaps = trace.gaps()
-        idx = trace.indices
-        rate = self._rate()
-        deadline_instr = self._timer.armed_deadline * rate
+        episode = self._episode
+        rate = self._instr_rate_base * self._speed[self._state]
+        deadline_instr = self._deadline_s * rate
 
-        hi = trace.n_events
+        hi = self.trace.n_events
         if self._pending is not None:
             horizon_pos = self._pos + (self._pending[0] - self._t) * rate
             # Integer query: a float query would promote (copy) the
             # whole int64 index array on every call.  For integer
             # indices, idx >= horizon_pos iff idx >= ceil(horizon_pos).
-            hi = int(np.searchsorted(idx, math.ceil(horizon_pos),
+            hi = int(np.searchsorted(episode.indices, math.ceil(horizon_pos),
                                      side="left"))
         start = self._ev
         if start >= hi:
             return
-        # Galloping chunked scan for the first oversized gap, against an
-        # integer threshold (gap > x iff gap > floor(x) for int gaps)
-        # and into a reused scratch buffer: no per-chunk temporaries.
-        thr = min(math.floor(deadline_instr), _MAX_GAP)
-        stop = hi  # exclusive index of first non-consumable event
-        buf = self._scan_buf
-        chunk = _SCAN_CHUNK
-        lo = start
-        while lo < hi:
-            end = min(lo + chunk, hi)
-            m = end - lo
-            if m > buf.size:
-                buf = self._scan_buf = np.empty(m, dtype=bool)
-            big = np.greater(gaps[lo:end], thr, out=buf[:m])
-            k = int(np.argmax(big))
-            if big[k]:
-                stop = lo + k
-                break
-            lo = end
-            chunk *= 2
-        last = stop - 1
+        # Integer threshold: gap > x iff gap > floor(x) for int gaps.
+        threshold = min(math.floor(deadline_instr), _MAX_GAP)
+        last = episode.first_big_gap(start, hi, threshold, self._block_buf) - 1
         if last < start:
             return
         # Jump: consume events start..last at constant speed/power.
-        target_pos = int(idx[last]) + 1
+        target_pos = int(episode.indices[last]) + 1
         dt = (target_pos - self._pos) / rate
-        self._account(dt, self._state.value)
+        self._energy += self._power_now * dt
+        label = self._state.value
+        self._state_time[label] = self._state_time.get(label, 0.0) + dt
         self._t += dt
         self._pos = target_pos
         self._ev = last + 1
-        self._timer.reset(self._t)
+        self._fires_at = self._t + self._deadline_s  # the timer resets
 
     def _bulk_emulate(self) -> None:
         """Fast path for pure-emulation runs: with no timer and no
         pending change the state never varies again, so all remaining
         events can be charged in one vectorised step."""
-        if self.strategy.switches_curves or self._timer.armed or self._pending is not None:
+        if (self.strategy.switches_curves or self._fires_at is not None
+                or self._pending is not None):
             return
         trace = self.trace
         n_rem = trace.n_events - self._ev
         if n_rem <= 0:
             return
-        rate = self._rate()
+        rate = self._instr_rate_base * self._speed[self._state]
         freq = self.cpu.nominal_frequency * self._speed[self._state]
         # Execution time of the instructions up to (and including) the
         # last event, plus per-event emulation stalls.

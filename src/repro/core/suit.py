@@ -127,8 +127,8 @@ class SuitSystem:
         """Evaluate many sweep configs over this profile's trace.
 
         The trace is synthesised (or served from cache) once and
-        compiled once; every config replays the shared episode through
-        the vectorised kernel (:mod:`repro.core.batchsim`).  Per-config
+        compiled once; every config is simulated over the shared
+        episode (:mod:`repro.core.batchsim`).  Per-config
         semantics match :meth:`run_profile` bit-for-bit: a config with
         this system's strategy, offset and ``seed == self.seed``
         reproduces ``run_profile(profile)`` exactly.

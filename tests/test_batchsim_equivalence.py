@@ -1,21 +1,28 @@
-"""The vectorized sweep kernel must be bit-identical to the scalar path.
+"""Sweeps over a shared episode must be bit-identical to lone runs.
 
-``repro.core.batchsim`` promises that replaying a config through the
-compiled-episode fast path returns *exactly* what the scalar
-:class:`~repro.core.simulator.TraceSimulator` returns — same RNG draw
-order, same floating-point expression order, same counters.  These
-tests enforce the promise with strict ``==`` comparisons (no approx):
+:func:`~repro.core.batchsim.simulate_sweep` runs every config through
+:class:`~repro.core.simulator.TraceSimulator` over one trace, sharing
+its compiled :class:`~repro.core.simulator.TraceEpisode` (and the
+episode's per-threshold memo) between configs.  These tests check with
+strict ``==`` comparisons (no approx) that nothing one config leaves in
+that shared state changes another config's result:
 
 * a hypothesis property suite over random traces (sparse events and
-  dense bursts), strategies, deadlines, seeds and offsets;
+  dense bursts), strategies, deadlines, seeds and offsets, comparing a
+  many-config sweep against one simulator per config on a fresh copy of
+  the trace;
 * synthesized workload traces through :func:`simulate_sweep` vs
   :meth:`SuitSystem.run_profile`;
 * the sweep API contract: config-order results, the closed-form ``e``
-  estimate, enclave rejection, scalar fallbacks (``force_scalar`` and
-  an enabled tracer) and core-count validation.
+  estimate, enclave rejection, agreement with lone scalar runs, traced
+  sweeps, core-count validation and that a trace and its cached episode
+  are freed by reference counting.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +32,6 @@ from hypothesis import strategies as st
 from repro.core.batchsim import (
     SweepConfig,
     compile_episode,
-    replay_config,
     simulate_sweep,
 )
 from repro.core.estimates import emulation_estimate
@@ -35,7 +41,7 @@ from repro.core.strategy import strategy_for
 from repro.core.suit import SuitSystem
 from repro.hardware.models import cpu_b_ryzen_7700x, cpu_c_xeon_4208
 from repro.isa.opcodes import Opcode
-from repro.obs.tracer import disable_tracing, enable_tracing
+from repro.obs.tracer import TRACK_SIM, disable_tracing, enable_tracing
 from repro.workloads.generator import generate_trace
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.trace import FaultableTrace
@@ -97,42 +103,52 @@ def event_sets(draw):
     return events
 
 
+def _lone_runs(cpu, trace_events, configs, params):
+    """One simulator per config, each on a fresh copy of the trace (so
+    each compiles its own episode)."""
+    return [TraceSimulator(cpu, _PROFILE, _make_trace(trace_events),
+                           strategy_for(c.strategy, params),
+                           c.voltage_offset, seed=c.seed,
+                           harden_imul=c.harden_imul).run()
+            for c in configs]
+
+
+_sweep_configs = st.lists(
+    st.builds(SweepConfig,
+              strategy=st.sampled_from(["fV", "f", "V"]),
+              voltage_offset=st.sampled_from([-0.05, -0.097, -0.12]),
+              seed=st.integers(min_value=0, max_value=7),
+              harden_imul=st.booleans()),
+    min_size=1, max_size=6)
+
+
 @settings(max_examples=60, deadline=None)
-@given(events=event_sets(),
-       strategy_name=st.sampled_from(["fV", "f", "V", "e"]),
-       deadline=st.sampled_from([10e-6, 30e-6, 100e-6, 450e-6]),
-       seed=st.integers(min_value=0, max_value=7),
-       offset=st.sampled_from([-0.05, -0.097, -0.12]),
-       harden=st.booleans())
-def test_replay_matches_scalar(events, strategy_name, deadline, seed,
-                               offset, harden):
-    trace = _make_trace(events)
+@given(events=event_sets(), configs=_sweep_configs,
+       deadline=st.sampled_from([10e-6, 30e-6, 100e-6, 450e-6]))
+def test_replay_matches_scalar(events, configs, deadline):
+    """A sweep shares one episode (and its per-threshold memo) across
+    configs; each result must equal a lone run on a fresh trace."""
     params = StrategyParams(deadline, 450e-6, 3, 14.0)
-    config = SweepConfig(strategy=strategy_name, voltage_offset=offset,
-                         seed=seed, harden_imul=harden)
-    scalar = TraceSimulator(_CPU, _PROFILE, trace,
-                            strategy_for(strategy_name, params), offset,
-                            seed=seed, harden_imul=harden).run()
-    fast = replay_config(compile_episode(trace), _CPU, _PROFILE, config,
-                         params)
-    assert_identical(fast, scalar)
+    swept = simulate_sweep(_CPU, _PROFILE, _make_trace(events), configs,
+                           params=params)
+    for fast, lone in zip(swept, _lone_runs(_CPU, events, configs, params)):
+        assert_identical(fast, lone)
 
 
 @settings(max_examples=20, deadline=None)
 @given(events=event_sets(),
-       seed=st.integers(min_value=0, max_value=3))
-def test_replay_matches_scalar_without_voltage_rail(events, seed):
+       seeds=st.lists(st.integers(min_value=0, max_value=3),
+                      min_size=1, max_size=4))
+def test_replay_matches_scalar_without_voltage_rail(events, seeds):
     """CPU B has no voltage control — the f strategy's frequency-only
-    transitions must still replay exactly."""
+    transitions must still sweep exactly."""
     cpu = cpu_b_ryzen_7700x()
-    trace = _make_trace(events)
     params = default_params_for(cpu.vendor)
-    scalar = TraceSimulator(cpu, _PROFILE, trace,
-                            strategy_for("f", params), -0.097,
-                            seed=seed).run()
-    fast = replay_config(compile_episode(trace), cpu, _PROFILE,
-                         SweepConfig(strategy="f", seed=seed), params)
-    assert_identical(fast, scalar)
+    configs = [SweepConfig(strategy="f", seed=seed) for seed in seeds]
+    swept = simulate_sweep(cpu, _PROFILE, _make_trace(events), configs,
+                           params=params)
+    for fast, lone in zip(swept, _lone_runs(cpu, events, configs, params)):
+        assert_identical(fast, lone)
 
 
 class TestSweepSemantics:
@@ -178,23 +194,33 @@ class TestSweepSemantics:
                            [SweepConfig(strategy="e")])
 
     def test_force_scalar_agrees_with_vector(self, gen_trace):
+        """The sweep over the shared episode must agree with one lone
+        scalar :class:`TraceSimulator` per config on the same trace."""
         configs = [SweepConfig(strategy="fV", seed=s) for s in (0, 1)]
         fast = simulate_sweep(_CPU, _GEN_PROFILE, gen_trace, configs)
-        slow = simulate_sweep(_CPU, _GEN_PROFILE, gen_trace, configs,
-                              force_scalar=True)
+        params = default_params_for(_CPU.vendor)
+        slow = [TraceSimulator(_CPU, _GEN_PROFILE, gen_trace,
+                               strategy_for(c.strategy, params),
+                               c.voltage_offset, seed=c.seed).run()
+                for c in configs]
         for a, b in zip(fast, slow):
             assert_identical(a, b)
 
     def test_enabled_tracer_takes_the_scalar_path(self, gen_trace):
-        """The replay emits no telemetry; with a tracer installed the
-        sweep must route through the (instrumented) scalar simulator."""
+        """With a tracer installed the sweep must run the instrumented
+        simulator: it emits sim-track events and returns the same
+        results as an untraced sweep."""
+        configs = [SweepConfig(strategy=s, seed=1) for s in ("fV", "V")]
+        untraced = simulate_sweep(_CPU, _GEN_PROFILE, gen_trace, configs)
         tracer = enable_tracing(capacity=50_000)
         try:
-            simulate_sweep(_CPU, _GEN_PROFILE, gen_trace,
-                           [SweepConfig(strategy="fV")])
+            traced = simulate_sweep(_CPU, _GEN_PROFILE, gen_trace, configs)
             assert len(tracer) > 0
+            names = {e.name for e in tracer.events() if e.pid == TRACK_SIM}
         finally:
             disable_tracing()
+        assert {"#DO trap", "p-state change", "timer fire"} <= names
+        assert traced == untraced
 
     def test_core_count_is_validated(self, gen_trace):
         with pytest.raises(ValueError):
@@ -244,3 +270,23 @@ class TestEpisodeIndex:
                 expect = j
                 break
         assert got == expect
+
+
+class TestTraceLifetime:
+    """The episode cached on a trace must not keep the trace alive."""
+
+    def test_trace_is_freed_without_the_cycle_collector(self):
+        trace = generate_trace(_GEN_PROFILE, seed=0)
+        simulate_sweep(_CPU, _GEN_PROFILE, trace,
+                       [SweepConfig(strategy="fV"), SweepConfig(strategy="e")])
+        TraceSimulator(_CPU, _GEN_PROFILE, trace,
+                       strategy_for("V", default_params_for(_CPU.vendor)),
+                       -0.097).run()
+        assert trace._batchsim_episode is not None
+        ref = weakref.ref(trace)
+        gc.disable()
+        try:
+            del trace
+            assert ref() is None
+        finally:
+            gc.enable()
