@@ -48,31 +48,46 @@ reproduce:
 chaos-smoke:
 	$(PY) -m repro chaos --seed 42 --duration 30
 
+# Parse $(1)/index.html with html.parser; print its size under label $(2).
+check-html = $(PY) -c "from html.parser import HTMLParser; \
+	html = open('$(1)/index.html').read(); \
+	p = HTMLParser(); p.feed(html); p.close(); \
+	print('$(2) HTML ok (%d bytes)' % len(html))"
+
+# Resuming a finished study and re-rendering its dashboard must be
+# byte-identical no-ops: $(1) is the subcommand, $(2) the out dir, $(3)
+# the JSON report name.
+check-resume = mkdir -p $(2).orig && cp $(2)/$(3) $(2)/index.html $(2).orig/ && \
+	$(PY) -m repro $(1) resume --out $(2) >/dev/null && \
+	$(PY) -m repro $(1) report --out $(2) >/dev/null && \
+	cmp $(2)/$(3) $(2).orig/$(3) && cmp $(2)/index.html $(2).orig/index.html && \
+	echo "$(1) resume + report are byte-identical no-ops"
+
 # CI-sized fault-injection campaign: 16 runs of the canned MSR bit-flip
-# faultload on two workers, then validate that the HTML report parses
-# (see docs/campaigns.md).  Deterministic: --seed 42 replays the exact
-# same faultloads and report bytes.
+# faultload on two workers, then validate that the HTML report parses,
+# and that resume + report of the finished campaign change no byte (see
+# docs/campaigns.md).  Deterministic: --seed 42 replays the exact same
+# faultloads and report bytes.
 campaign-smoke:
+	@rm -rf campaign-smoke.out campaign-smoke.out.orig
 	$(PY) -m repro campaign run --spec msr_bitflip_nginx --seed 42 \
 		--samples 4 --jobs 2 --out campaign-smoke.out
-	$(PY) -c "from html.parser import HTMLParser; \
-		html = open('campaign-smoke.out/index.html').read(); \
-		p = HTMLParser(); p.feed(html); p.close(); \
-		print('campaign HTML ok (%d bytes)' % len(html))"
-	@rm -rf campaign-smoke.out
+	$(call check-html,campaign-smoke.out,campaign)
+	$(call check-resume,campaign,campaign-smoke.out,campaign_report.json)
+	@rm -rf campaign-smoke.out campaign-smoke.out.orig
 
 # CI-sized design-space exploration: the canned 2-generation x
 # 8-genome nginx search (NSGA-II over deadline/strategy/offset/corner/
-# IMUL depth), then validate that the Pareto dashboard parses (see
+# IMUL depth), then validate that the Pareto dashboard parses and that
+# resume + report of the finished search change no byte (see
 # docs/dse.md).  Deterministic: same seed, same report bytes; finishes
 # in about a second.
 dse-smoke:
+	@rm -rf dse-smoke.out dse-smoke.out.orig
 	$(PY) -m repro dse run --search nginx_quick --out dse-smoke.out
-	$(PY) -c "from html.parser import HTMLParser; \
-		html = open('dse-smoke.out/index.html').read(); \
-		p = HTMLParser(); p.feed(html); p.close(); \
-		print('dse HTML ok (%d bytes)' % len(html))"
-	@rm -rf dse-smoke.out
+	$(call check-html,dse-smoke.out,dse)
+	$(call check-resume,dse,dse-smoke.out,dse_report.json)
+	@rm -rf dse-smoke.out dse-smoke.out.orig
 
 # Chaos-over-fleet smoke: a 3-node in-process fleet behind the
 # gateway, a 200-request burst sequence (8 bursts x 25 canonical

@@ -19,11 +19,11 @@ from repro.campaigns.classify import (OUTCOMES, classify_pair, classify_run,
 from repro.campaigns.plan import Injection, RunPlan, expand, run_seed
 from repro.campaigns.report import ReportBuilder
 from repro.campaigns.run import execute_run
-from repro.campaigns.runner import (CampaignRunner, CheckpointMismatchError,
-                                    CKPT_NAME, HTML_NAME, REPORT_NAME,
-                                    load_checkpoint_spec)
+from repro.campaigns.runner import (CampaignRunner, CKPT_NAME, HTML_NAME,
+                                    REPORT_NAME, load_checkpoint_spec)
 from repro.campaigns.spec import (CANNED_CAMPAIGNS, FaultloadSpec,
                                   canned_campaign, load_spec, resolve_spec)
+from repro.runtime.study import CheckpointMismatchError
 
 __all__ = [
     "CANNED_CAMPAIGNS",

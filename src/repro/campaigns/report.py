@@ -1,4 +1,4 @@
-"""Static-HTML campaign dashboards (stdlib templating only).
+"""Static-HTML campaign dashboards, rendered through :mod:`repro.obs.html`.
 
 :class:`ReportBuilder` turns a campaign report dict
 (:meth:`repro.campaigns.runner.CampaignRunner.build_report`) into one
@@ -19,9 +19,11 @@ Colors are the Okabe-Ito colorblind-safe palette.
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.campaigns.classify import OUTCOMES
+from repro.obs.html import (chart_frame, fmt, legend, line_chart, page,
+                            swatch, table)
 
 #: Okabe-Ito assignments, most to least severe.
 OUTCOME_COLORS: Dict[str, str] = {
@@ -39,24 +41,9 @@ _RATE_SERIES: Tuple[Tuple[str, str], ...] = (
 )
 
 _CSS = """
-body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto;
-       max-width: 68rem; color: #1a1a1a; }
-h1 { font-size: 1.5rem; } h2 { font-size: 1.15rem; margin-top: 2rem; }
-table { border-collapse: collapse; width: 100%; font-size: 13px; }
-th, td { border: 1px solid #ddd; padding: 4px 8px; text-align: left; }
-th { background: #f4f4f4; }
 tr.sdc td { background: #fdeee6; } tr.detected td { background: #e8f1f8; }
 tr.crashed td { background: #eeeeee; }
-.swatch { display: inline-block; width: 10px; height: 10px;
-          margin-right: 4px; border-radius: 2px; }
-.meta { color: #555; font-size: 13px; }
-code { background: #f4f4f4; padding: 1px 4px; border-radius: 3px; }
-svg { background: #fcfcfc; border: 1px solid #eee; }
-""".strip()
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.4g}"
+"""
 
 
 class ReportBuilder:
@@ -68,76 +55,21 @@ class ReportBuilder:
                 f"unsupported report schema {report.get('schema')!r}")
         self.report = report
 
-    # -- SVG helpers -----------------------------------------------------
-
-    @staticmethod
-    def _axes(width: int, height: int, pad: int,
-              x_labels: Sequence[str], y_labels: Sequence[str]) -> List[str]:
-        parts = [
-            f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-            f'y2="{height - pad}" stroke="#333" stroke-width="1" />',
-            f'<line x1="{pad}" y1="{pad}" x2="{pad}" '
-            f'y2="{height - pad}" stroke="#333" stroke-width="1" />',
-        ]
-        span_x = width - 2 * pad
-        for i, label in enumerate(x_labels):
-            x = pad + (span_x * i / max(1, len(x_labels) - 1))
-            parts.append(
-                f'<text x="{x:.1f}" y="{height - pad + 16}" '
-                f'text-anchor="middle" font-size="11">'
-                f'{html.escape(label)}</text>')
-        span_y = height - 2 * pad
-        for i, label in enumerate(y_labels):
-            y = height - pad - (span_y * i / max(1, len(y_labels) - 1))
-            parts.append(
-                f'<text x="{pad - 6}" y="{y:.1f}" text-anchor="end" '
-                f'dominant-baseline="middle" font-size="11">'
-                f'{html.escape(label)}</text>')
-        return parts
+    # -- charts ----------------------------------------------------------
 
     def _rate_chart(self) -> str:
         """SDC / detected / crashed rate vs undervolt depth (mV)."""
         rows = self.report["by_offset"]
-        width, height, pad = 640, 280, 46
-        depths = [abs(row["offset_mv"]) for row in rows]
-        parts = [
-            f'<svg role="img" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}" '
-            'xmlns="http://www.w3.org/2000/svg">',
-            '<title>Outcome rate vs undervolt depth</title>',
-        ]
-        parts += self._axes(
-            width, height, pad,
-            [f"{d:g}" for d in depths],
-            ["0", "0.25", "0.5", "0.75", "1"])
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{height - 8}" '
-            f'text-anchor="middle" font-size="11">undervolt depth (mV)'
-            '</text>')
-        span_x, span_y = width - 2 * pad, height - 2 * pad
-
-        def point(i: int, rate: float) -> Tuple[float, float]:
-            x = pad + span_x * i / max(1, len(rows) - 1)
-            y = height - pad - span_y * min(1.0, max(0.0, rate))
-            return x, y
-
-        for key, outcome in _RATE_SERIES:
-            color = OUTCOME_COLORS[outcome]
-            coords = [point(i, row[key]) for i, row in enumerate(rows)]
-            path = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-            parts.append(
-                f'<polyline points="{path}" fill="none" '
-                f'stroke="{color}" stroke-width="2" />')
-            for x, y in coords:
-                parts.append(
-                    f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3.5" '
-                    f'fill="{color}" />')
-        parts.append("</svg>")
-        legend = " ".join(
-            f'<span><span class="swatch" style="background:'
-            f'{OUTCOME_COLORS[outcome]}"></span>{outcome} rate</span>'
-            for _, outcome in _RATE_SERIES)
-        return "\n".join(parts) + f'\n<p class="meta">{legend}</p>'
+        chart = line_chart(
+            "Outcome rate vs undervolt depth",
+            [f"{abs(row['offset_mv']):g}" for row in rows],
+            ["0", "0.25", "0.5", "0.75", "1"], "undervolt depth (mV)",
+            [(OUTCOME_COLORS[outcome], [row[key] for row in rows])
+             for key, outcome in _RATE_SERIES],
+            height=280)
+        return chart + "\n" + legend(
+            [(OUTCOME_COLORS[outcome], f"{outcome} rate")
+             for _, outcome in _RATE_SERIES])
 
     def _stack_chart(self) -> str:
         """100%-stacked outcome bar per undervolt grid point."""
@@ -145,14 +77,8 @@ class ReportBuilder:
         width, height, pad = 640, 240, 46
         bar_span = width - 2 * pad
         bar_w = bar_span / max(1, len(rows)) * 0.6
-        parts = [
-            f'<svg role="img" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}" '
-            'xmlns="http://www.w3.org/2000/svg">',
-            '<title>Outcome breakdown per undervolt depth</title>',
-        ]
-        parts += self._axes(
-            width, height, pad,
+        parts = chart_frame(
+            "Outcome breakdown per undervolt depth", width, height, pad,
             [f'{abs(row["offset_mv"]):g}' for row in rows],
             ["0%", "50%", "100%"])
         span_y = height - 2 * pad
@@ -171,57 +97,38 @@ class ReportBuilder:
                     f'<title>{outcome}: {row["counts"][outcome]}</title>'
                     '</rect>')
         parts.append("</svg>")
-        legend = " ".join(
-            f'<span><span class="swatch" style="background:'
-            f'{OUTCOME_COLORS[o]}"></span>{o}</span>' for o in OUTCOMES)
-        return "\n".join(parts) + f'\n<p class="meta">{legend}</p>'
+        parts.append(legend([(OUTCOME_COLORS[o], o) for o in OUTCOMES]))
+        return "\n".join(parts)
 
     # -- tables ----------------------------------------------------------
 
     def _summary_table(self) -> str:
         outcomes = self.report["outcomes"]
         total = max(1, sum(outcomes.values()))
-        cells = "".join(
-            f'<tr><td><span class="swatch" style="background:'
-            f'{OUTCOME_COLORS[o]}"></span>{o}</td>'
-            f'<td>{outcomes[o]}</td>'
-            f'<td>{_fmt(outcomes[o] / total * 100)}%</td></tr>'
-            for o in OUTCOMES)
-        return ('<table><thead><tr><th>outcome</th><th>runs</th>'
-                '<th>share</th></tr></thead>'
-                f'<tbody>{cells}</tbody></table>')
+        return table(("outcome", "runs", "share"), [
+            (swatch(OUTCOME_COLORS[o]) + o, outcomes[o],
+             f"{fmt(outcomes[o] / total * 100)}%") for o in OUTCOMES])
 
     def _target_table(self) -> str:
         by_target = self.report.get("by_target", {})
         if not by_target:
             return ""
-        head = "".join(f"<th>{o}</th>" for o in OUTCOMES)
-        body = "".join(
-            f'<tr><td><code>{html.escape(target)}</code></td>'
-            + "".join(f"<td>{counts[o]}</td>" for o in OUTCOMES)
-            + "</tr>"
-            for target, counts in by_target.items())
-        return ('<h2>Per-target breakdown</h2>'
-                f'<table><thead><tr><th>target</th>{head}</tr></thead>'
-                f'<tbody>{body}</tbody></table>')
+        return "<h2>Per-target breakdown</h2>" + table(
+            ("target", *OUTCOMES),
+            [(f"<code>{html.escape(target)}</code>",
+              *(counts[o] for o in OUTCOMES))
+             for target, counts in by_target.items()])
 
     def _runs_table(self) -> str:
-        rows = []
-        for run in self.report["runs"]:
-            injections = "; ".join(html.escape(i) for i in run["injections"])
-            error = html.escape(run["error"] or "")
-            rows.append(
-                f'<tr class="{run["outcome"]}">'
-                f'<td>{run["index"]}</td>'
-                f'<td>{run["offset_mv"]:g}</td>'
-                f'<td>{run["outcome"]}</td>'
-                f'<td>{injections}</td>'
-                f'<td><code>{run["seed"]}</code></td>'
-                f'<td>{error}</td></tr>')
-        return ('<table><thead><tr><th>#</th><th>offset (mV)</th>'
-                '<th>outcome</th><th>injections</th><th>run seed</th>'
-                '<th>error</th></tr></thead>'
-                f'<tbody>{"".join(rows)}</tbody></table>')
+        runs = self.report["runs"]
+        return table(
+            ("#", "offset (mV)", "outcome", "injections", "run seed",
+             "error"),
+            [(run["index"], f"{run['offset_mv']:g}", run["outcome"],
+              "; ".join(html.escape(i) for i in run["injections"]),
+              f"<code>{run['seed']}</code>", html.escape(run["error"] or ""))
+             for run in runs],
+            [run["outcome"] for run in runs])
 
     # -- page ------------------------------------------------------------
 
@@ -235,16 +142,7 @@ class ReportBuilder:
             incomplete = (
                 f'<p class="meta"><strong>{len(r["incomplete"])} runs '
                 'incomplete</strong> — resume the campaign to finish.</p>')
-        return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8" />
-<title>Campaign report: {name}</title>
-<style>
-{_CSS}
-</style>
-</head>
-<body>
+        return page(f"Campaign report: {r['campaign']}", f"""\
 <h1>Fault-injection campaign: {name}</h1>
 <p class="meta">scope <code>{html.escape(spec["scope"])}</code> ·
 model <code>{html.escape(spec["fault_model"])}</code> ·
@@ -263,7 +161,4 @@ spec digest <code>{html.escape(r["spec_digest"][:12])}</code></p>
 {self._stack_chart()}
 {self._target_table()}
 <h2>Per-run drill-down</h2>
-{self._runs_table()}
-</body>
-</html>
-"""
+{self._runs_table()}""", _CSS)

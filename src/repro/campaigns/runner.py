@@ -1,19 +1,17 @@
 """Campaign execution: the sample matrix, crash-isolated and resumable.
 
-:class:`CampaignRunner` mirrors the experiment engine's execution
-semantics (:mod:`repro.runtime.engine`): a never-raising worker
-function, optional process-pool fan-out, and results keyed by a
-deterministic plan so order of completion never matters.  On top it
-adds a ``campaign.ckpt.json`` checkpoint — atomically rewritten after
-every completed run — so a campaign killed at any point resumes with
+:class:`CampaignRunner` is a :class:`~repro.runtime.study.Study`: a
+never-raising worker function fanned out serially or over a process
+pool (:func:`~repro.runtime.study.fan_out`), and results keyed by a
+deterministic plan so order of completion never matters.  Its
+``campaign.ckpt.json`` checkpoint is atomically rewritten after every
+completed run, so a campaign killed at any point resumes with
 ``run(resume=True)`` and produces the byte-identical final report.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -22,6 +20,8 @@ from repro.campaigns.plan import RunPlan, expand
 from repro.campaigns.run import execute_run
 from repro.campaigns.spec import FaultloadSpec
 from repro.obs import get_registry
+from repro.runtime.study import HTML_NAME  # noqa: F401 - re-exported
+from repro.runtime.study import Study, fan_out
 
 #: Schema tags; bump on layout changes so stale artifacts fail loudly.
 CKPT_SCHEMA = "repro.campaign-checkpoint.v1"
@@ -29,7 +29,6 @@ REPORT_SCHEMA = "repro.campaign-report.v1"
 
 CKPT_NAME = "campaign.ckpt.json"
 REPORT_NAME = "campaign_report.json"
-HTML_NAME = "index.html"
 
 
 def _runs_counter():
@@ -40,42 +39,22 @@ def _runs_counter():
 
 
 def _worker_execute(spec_json: str, plan_json: str) -> dict:
-    """Process-pool entry point: rebuild the dataclasses from JSON (so
-    the task payload is picklable and version-stable) and execute.
-    Never raises — :func:`execute_run` already folds failures into a
+    """Task function: rebuild the dataclasses from JSON (so the task
+    payload is picklable and version-stable) and execute.  Never
+    raises — :func:`execute_run` already folds failures into a
     ``crashed`` outcome dict."""
     spec = FaultloadSpec.from_json_dict(json.loads(spec_json))
     plan = RunPlan.from_json_dict(json.loads(plan_json))
     return execute_run(spec, plan)
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Write *payload* via tmp-file + rename, so a kill mid-write never
-    leaves a truncated checkpoint behind."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
-
-
-class CheckpointMismatchError(RuntimeError):
-    """``resume`` found a checkpoint written by a different faultload."""
-
-
 def load_checkpoint_spec(out_dir: Path) -> FaultloadSpec:
     """The faultload recorded in *out_dir*'s checkpoint — lets
     ``campaign resume --out DIR`` continue without re-passing the spec."""
-    path = Path(out_dir) / CKPT_NAME
-    if not path.exists():
-        raise FileNotFoundError(f"no campaign checkpoint at {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema") != CKPT_SCHEMA:
-        raise CheckpointMismatchError(
-            f"unknown checkpoint schema {payload.get('schema')!r} in {path}")
-    return FaultloadSpec.from_json_dict(payload["spec"])
+    return CampaignRunner.load_checkpoint_spec(out_dir)
 
 
-class CampaignRunner:
+class CampaignRunner(Study):
     """Executes one faultload's sample matrix.
 
     Args:
@@ -85,50 +64,29 @@ class CampaignRunner:
         jobs: worker processes; 1 executes inline in this process.
     """
 
+    CKPT_NAME = CKPT_NAME
+    CKPT_SCHEMA = CKPT_SCHEMA
+    REPORT_NAME = REPORT_NAME
+    SPEC_TYPE = FaultloadSpec
+    KIND = "campaign"
+    SPEC_NOUN = "faultload"
+
     def __init__(self, spec: FaultloadSpec, out_dir: Optional[Path] = None,
                  jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.spec = spec
-        self.out_dir = Path(out_dir) if out_dir is not None else None
+        super().__init__(spec, out_dir)
         self.jobs = jobs
         self.plans: List[RunPlan] = expand(spec)
         self.results: Dict[int, dict] = {}
 
-    # -- checkpointing ---------------------------------------------------
+    def _checkpoint_state(self) -> dict:
+        return {"completed": {str(k): v
+                              for k, v in sorted(self.results.items())}}
 
-    @property
-    def ckpt_path(self) -> Optional[Path]:
-        return self.out_dir / CKPT_NAME if self.out_dir else None
-
-    def _load_checkpoint(self) -> None:
-        path = self.ckpt_path
-        if path is None or not path.exists():
-            return
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("schema") != CKPT_SCHEMA:
-            raise CheckpointMismatchError(
-                f"unknown checkpoint schema {payload.get('schema')!r} "
-                f"in {path}")
-        if payload.get("spec_digest") != self.spec.digest():
-            raise CheckpointMismatchError(
-                f"checkpoint in {path} was written by a different "
-                f"faultload (digest {payload.get('spec_digest')!r} != "
-                f"{self.spec.digest()!r}); delete it or rerun with the "
-                "original spec")
+    def _restore(self, payload: dict) -> None:
         self.results = {int(k): v
                         for k, v in payload.get("completed", {}).items()}
-
-    def _save_checkpoint(self) -> None:
-        path = self.ckpt_path
-        if path is None:
-            return
-        _atomic_write_json(path, {
-            "schema": CKPT_SCHEMA,
-            "spec_digest": self.spec.digest(),
-            "spec": self.spec.to_json_dict(),
-            "completed": {str(k): v for k, v in sorted(self.results.items())},
-        })
 
     # -- execution -------------------------------------------------------
 
@@ -142,54 +100,32 @@ class CampaignRunner:
                 by tests to simulate an interrupted campaign); the
                 checkpoint stays on disk for a later resume.
         """
-        if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-        if resume:
-            self._load_checkpoint()
+        self._start(resume)
         pending = [p for p in self.plans if p.index not in self.results]
         if stop_after is not None:
             pending = pending[:max(0, stop_after)]
 
+        def lost(i: int, exc: Exception) -> dict:
+            plan = pending[i]
+            return {"index": plan.index, "offset_v": plan.offset_v,
+                    "seed": plan.seed, "status": "crashed",
+                    "error": f"worker died: {exc!r}",
+                    "baseline": None, "faulted": None, "notes": []}
+
         counter = _runs_counter()
         spec_json = self.spec.canonical_json()
-        if self.jobs == 1 or len(pending) <= 1:
-            for plan in pending:
-                self._record(plan, execute_run(self.spec, plan), counter)
-        else:
-            self._run_pool(pending, spec_json, counter)
-
+        tasks = [(spec_json, json.dumps(plan.to_json_dict()))
+                 for plan in pending]
+        for i, outcome in fan_out(_worker_execute, tasks, self.jobs,
+                                  on_lost=lost):
+            plan = pending[i]
+            outcome["outcome"] = classify_run(outcome)
+            outcome["injections"] = [j.to_json_dict()
+                                     for j in plan.injections]
+            counter.inc(outcome=outcome["outcome"])
+            self.results[plan.index] = outcome
+            self._save_checkpoint()
         return self.build_report()
-
-    def _record(self, plan: RunPlan, outcome: dict, counter) -> None:
-        outcome["outcome"] = classify_run(outcome)
-        outcome["injections"] = [i.to_json_dict() for i in plan.injections]
-        counter.inc(outcome=outcome["outcome"])
-        self.results[plan.index] = outcome
-        self._save_checkpoint()
-
-    def _run_pool(self, pending: List[RunPlan], spec_json: str,
-                  counter) -> None:
-        by_index = {p.index: p for p in pending}
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {
-                pool.submit(_worker_execute, spec_json,
-                            json.dumps(plan.to_json_dict())): plan.index
-                for plan in pending}
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BaseException as exc:  # worker process died
-                        outcome = {"index": index,
-                                   "offset_v": by_index[index].offset_v,
-                                   "seed": by_index[index].seed,
-                                   "status": "crashed",
-                                   "error": f"worker died: {exc!r}",
-                                   "baseline": None, "faulted": None,
-                                   "notes": []}
-                    self._record(by_index[index], outcome, counter)
 
     # -- reporting -------------------------------------------------------
 
@@ -250,16 +186,9 @@ class CampaignRunner:
             "runs": runs,
         }
 
-    def write_outputs(self, html: bool = True) -> dict:
-        """Write ``campaign_report.json`` (and the HTML dashboard) into
-        the artifact directory; returns the report dict."""
-        if self.out_dir is None:
-            raise ValueError("CampaignRunner needs an out_dir to write outputs")
-        report = self.build_report()
-        _atomic_write_json(self.out_dir / REPORT_NAME, report)
-        if html:
-            from repro.campaigns.report import ReportBuilder
+    @staticmethod
+    def render_html(report: dict) -> str:
+        """The standalone campaign dashboard of *report*."""
+        from repro.campaigns.report import ReportBuilder
 
-            (self.out_dir / HTML_NAME).write_text(
-                ReportBuilder(report).render(), encoding="utf-8")
-        return report
+        return ReportBuilder(report).render()

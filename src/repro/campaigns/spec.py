@@ -32,11 +32,12 @@ scopes, ``drift`` (Gaussian voltage shift) for analog scopes.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
+
+from repro.runtime.study import StudySpec
 
 #: Valid target scopes.
 TARGET_SCOPES: Tuple[str, ...] = ("msr", "vmin", "dvfs", "injector")
@@ -60,7 +61,7 @@ MSR_TARGET_WIDTHS: Dict[str, int] = {
 
 
 @dataclass(frozen=True)
-class FaultloadSpec:
+class FaultloadSpec(StudySpec):
     """One campaign's declarative faultload.
 
     Attributes:
@@ -136,42 +137,6 @@ class FaultloadSpec:
     def n_runs(self) -> int:
         """Size of the sample matrix."""
         return self.samples * len(self.offsets_v)
-
-    def to_json_dict(self) -> dict:
-        """Plain-JSON form (round-trips through :meth:`from_json_dict`)."""
-        payload = asdict(self)
-        payload["offsets_v"] = list(self.offsets_v)
-        payload["targets"] = list(self.targets)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "FaultloadSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output (or a spec
-        file's parsed contents).  Unknown keys raise, so a typo in a
-        spec file fails loudly instead of silently using a default."""
-        known = set(cls.__dataclass_fields__)  # type: ignore[attr-defined]
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown spec field(s): {sorted(unknown)}")
-        data = dict(payload)
-        for key in ("offsets_v", "targets"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
-
-    def canonical_json(self) -> str:
-        """Deterministic serialization (digest input)."""
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Content address of the faultload; checkpoint files pin it so
-        ``campaign resume`` refuses a checkpoint from a different spec."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
-    def with_overrides(self, **kwargs) -> "FaultloadSpec":
-        """A copy with the given fields replaced (CLI overrides)."""
-        return replace(self, **kwargs)
 
 
 def load_spec(path: Path) -> FaultloadSpec:

@@ -545,162 +545,257 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    """Run / resume / report a structured fault-injection campaign."""
-    import json
-    from pathlib import Path
+class _StudyCommand:
+    """One checkpointed study command (``campaign``, ``dse``): the
+    shared run / resume / report / list parsers and handler.
 
-    from repro.campaigns import (CANNED_CAMPAIGNS, CampaignRunner,
-                                 CheckpointMismatchError, HTML_NAME,
-                                 REPORT_NAME, ReportBuilder,
-                                 load_checkpoint_spec, resolve_spec)
+    Subclasses name the subsystem (``api()`` returns its runner class,
+    spec resolver and canned catalogue), add their own flags and verbs
+    and format their summary.  ``overrides`` are positive-int spec
+    fields settable next to ``--seed``; ``extra_verbs`` are ``(verb,
+    help)`` pairs over a written report, handled by ``do_<verb>``.
+    """
 
-    if args.campaign_cmd == "list":
-        for name, spec in sorted(CANNED_CAMPAIGNS.items()):
-            print(f"{name:<22} scope={spec.scope:<8} "
-                  f"model={spec.fault_model:<10} runs={spec.n_runs}")
+    command = help = noun = plural = spec_flag = spec_help = run_help = ""
+    jobs_help = unit = stop_kwarg = list_format = ""
+    overrides: tuple = ()
+    extra_verbs: tuple = ()
+
+    @property
+    def report_name(self) -> str:
+        return f"{self.command}_report.json"
+
+    def register(self, sub) -> None:
+        p = sub.add_parser(self.command, help=self.help)
+        verbs = p.add_subparsers(dest=f"{self.command}_cmd", required=True)
+        spec = self.spec_flag[2:]
+        for resume in (False, True):
+            v = verbs.add_parser(
+                "resume" if resume else "run",
+                help=f"continue an interrupted {self.noun} from its "
+                     "checkpoint" if resume else self.run_help)
+            if resume:
+                v.add_argument("--out", required=True,
+                               help=f"artifact directory holding "
+                                    f"{self.command}.ckpt.json")
+                v.add_argument(self.spec_flag, default=None,
+                               help=f"{spec} name/path (default: the "
+                                    "checkpoint's spec)")
+            else:
+                v.add_argument(self.spec_flag, required=True,
+                               help=self.spec_help)
+            v.add_argument("--seed", type=int, default=None,
+                           help=f"override the {spec}'s master seed")
+            for name, text in self.overrides:
+                v.add_argument(f"--{name}", type=_positive_int,
+                               default=None, help=text)
+            if not resume:
+                v.add_argument("--out", default=None,
+                               help="artifact directory (checkpoint, JSON "
+                                    "report, HTML dashboard); omit to run "
+                                    "in memory")
+            v.add_argument("--jobs", type=_positive_int, default=1,
+                           help=self.jobs_help)
+            self.add_run_options(v)
+            v.add_argument(f"--max-{self.unit}", dest="max_steps",
+                           metavar=f"MAX_{self.unit.upper()}",
+                           type=_positive_int, default=None,
+                           help=f"stop after N further {self.unit}" if resume
+                           else f"stop after N {self.unit} (checkpoint "
+                                "stays resumable)")
+            v.add_argument("--no-html", action="store_true",
+                           help="skip the HTML dashboard")
+            v.set_defaults(func=self.do_run, resume=resume)
+        for verb, text in (("report", "re-render the HTML dashboard from a "
+                                      f"written {self.report_name}"),
+                           *self.extra_verbs):
+            v = verbs.add_parser(verb, help=text)
+            v.add_argument("--out", required=True,
+                           help=f"artifact directory holding "
+                                f"{self.report_name}")
+            v.set_defaults(func=getattr(self, f"do_{verb}"))
+        verbs.add_parser("list", help=f"list the canned {self.plural}"
+                         ).set_defaults(func=self.do_list)
+
+    def add_run_options(self, parser) -> None:
+        pass
+
+    def make_runner(self, runner_cls, spec, out_dir, args):
+        return runner_cls(spec, out_dir=out_dir, jobs=args.jobs)
+
+    def read_report(self, out: str) -> dict:
+        import json
+        from pathlib import Path
+
+        path = Path(out) / self.report_name
+        if not path.exists():
+            raise SystemExit(f"no {self.report_name} in {out}; run the "
+                             f"{self.noun} first ({self.command} run --out "
+                             "...)")
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def do_list(self, args: argparse.Namespace) -> int:
+        _, _, canned = self.api()
+        for name, spec in sorted(canned.items()):
+            print(self.list_format.format(name=name, spec=spec))
         return 0
 
-    if args.campaign_cmd == "report":
-        out = Path(args.out)
-        report_path = out / REPORT_NAME
-        if not report_path.exists():
-            raise SystemExit(f"no {REPORT_NAME} in {out}; run the campaign "
-                             "first (campaign run --out ...)")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        html_path = out / HTML_NAME
-        html_path.write_text(ReportBuilder(report).render(), encoding="utf-8")
+    def do_report(self, args: argparse.Namespace) -> int:
+        from pathlib import Path
+
+        from repro.runtime.study import HTML_NAME
+
+        runner_cls, _, _ = self.api()
+        html_path = Path(args.out) / HTML_NAME
+        html_path.write_text(
+            runner_cls.render_html(self.read_report(args.out)),
+            encoding="utf-8")
         print(f"wrote {html_path}")
         return 0
 
-    # run / resume
-    try:
-        if args.campaign_cmd == "resume" and args.spec is None:
-            spec = load_checkpoint_spec(Path(args.out))
-        else:
-            spec = resolve_spec(args.spec)
-    except (ValueError, FileNotFoundError, CheckpointMismatchError) as exc:
-        raise SystemExit(str(exc))
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
-        overrides["samples"] = args.samples
-    if overrides:
-        spec = spec.with_overrides(**overrides)
+    def do_run(self, args: argparse.Namespace) -> int:
+        from pathlib import Path
 
-    out_dir = Path(args.out) if args.out else None
-    runner = CampaignRunner(spec, out_dir=out_dir, jobs=args.jobs)
-    try:
-        report = runner.run(resume=args.campaign_cmd == "resume",
-                            stop_after=args.max_runs)
-    except CheckpointMismatchError as exc:
-        raise SystemExit(str(exc))
-    if out_dir is not None:
-        report = runner.write_outputs(html=not args.no_html)
+        from repro.runtime.study import CheckpointMismatchError, HTML_NAME
 
-    print(f"campaign   : {report['campaign']}  "
-          f"({report['n_completed']}/{report['n_runs']} runs)")
-    print(f"outcomes   : {json.dumps(report['outcomes'])}")
-    for row in report["by_offset"]:
-        print(f"  {row['offset_mv']:>8.1f} mV  n={row['n']:<3} "
-              f"sdc={row['sdc_rate']:.3f} detected={row['detected_rate']:.3f} "
-              f"crashed={row['crashed_rate']:.3f}")
-    if out_dir is not None:
-        print(f"artifacts  : {out_dir / REPORT_NAME}"
-              + ("" if args.no_html else f", {out_dir / HTML_NAME}"))
-    if report["incomplete"]:
-        print(f"incomplete : {len(report['incomplete'])} runs remain "
-              "(campaign resume --out ... continues)")
-    return 0
+        runner_cls, resolve, _ = self.api()
+        name = getattr(args, self.spec_flag[2:])
+        try:
+            if args.resume and name is None:
+                spec = runner_cls.load_checkpoint_spec(Path(args.out))
+            else:
+                spec = resolve(name)
+        except (ValueError, FileNotFoundError, CheckpointMismatchError) as exc:
+            raise SystemExit(str(exc))
+        spec = spec.with_overrides(**{
+            field: getattr(args, field)
+            for field in ("seed", *(f for f, _ in self.overrides))
+            if getattr(args, field) is not None})
 
+        out_dir = Path(args.out) if args.out else None
+        runner = self.make_runner(runner_cls, spec, out_dir, args)
+        try:
+            report = runner.run(resume=args.resume,
+                                **{self.stop_kwarg: args.max_steps})
+        except CheckpointMismatchError as exc:
+            raise SystemExit(str(exc))
+        if out_dir is not None:
+            report = runner.write_outputs(html=not args.no_html)
 
-def cmd_dse(args: argparse.Namespace) -> int:
-    """Run / resume / report / recommend a design-space exploration."""
-    import json
-    from pathlib import Path
-
-    from repro.dse import (CANNED_SEARCHES, CheckpointMismatchError,
-                           DseRunner, ReportBuilder, ServiceEvalBackend,
-                           load_checkpoint_spec, resolve_search)
-    from repro.dse.runner import HTML_NAME, REPORT_NAME
-
-    if args.dse_cmd == "list":
-        for name, spec in sorted(CANNED_SEARCHES.items()):
-            print(f"{name:<16} cpu={spec.cpu} workload={spec.workload:<8} "
-                  f"{spec.generations} gen x {spec.population} genomes")
+        lines, pending = self.summary(report)
+        if out_dir is not None:
+            lines.append(f"artifacts  : {out_dir / self.report_name}"
+                         + ("" if args.no_html else
+                            f", {out_dir / HTML_NAME}"))
+        print("\n".join(lines + ([pending] if pending else [])))
         return 0
 
-    if args.dse_cmd in ("report", "recommend"):
-        out = Path(args.out)
-        report_path = out / REPORT_NAME
-        if not report_path.exists():
-            raise SystemExit(f"no {REPORT_NAME} in {out}; run the search "
-                             "first (dse run --out ...)")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        if args.dse_cmd == "report":
-            html_path = out / HTML_NAME
-            html_path.write_text(ReportBuilder(report).render(),
-                                 encoding="utf-8")
-            print(f"wrote {html_path}")
-            return 0
-        rec = report.get("recommendation")
+
+class _CampaignCommand(_StudyCommand):
+    """``campaign``: structured fault-injection campaigns."""
+
+    command, noun, plural = "campaign", "campaign", "campaigns"
+    help = "structured fault-injection campaigns"
+    spec_flag = "--spec"
+    spec_help = ("canned campaign name (see `campaign list`) or a "
+                 "JSON/TOML spec file path")
+    run_help = "execute a campaign's full sample matrix"
+    jobs_help = "parallel worker processes"
+    unit, stop_kwarg = "runs", "stop_after"
+    list_format = ("{name:<22} scope={spec.scope:<8} "
+                   "model={spec.fault_model:<10} runs={spec.n_runs}")
+    overrides = (("samples", "override runs per undervolt grid point"),)
+
+    def api(self):
+        from repro.campaigns import (CANNED_CAMPAIGNS, CampaignRunner,
+                                     resolve_spec)
+
+        return CampaignRunner, resolve_spec, CANNED_CAMPAIGNS
+
+    def summary(self, report: dict):
+        import json
+
+        lines = [f"campaign   : {report['campaign']}  "
+                 f"({report['n_completed']}/{report['n_runs']} runs)",
+                 f"outcomes   : {json.dumps(report['outcomes'])}"]
+        lines += [f"  {row['offset_mv']:>8.1f} mV  n={row['n']:<3} "
+                  f"sdc={row['sdc_rate']:.3f} "
+                  f"detected={row['detected_rate']:.3f} "
+                  f"crashed={row['crashed_rate']:.3f}"
+                  for row in report["by_offset"]]
+        pending = report["incomplete"] and (
+            f"incomplete : {len(report['incomplete'])} runs remain "
+            "(campaign resume --out ... continues)")
+        return lines, pending
+
+
+class _DseCommand(_StudyCommand):
+    """``dse``: evolutionary design-space exploration."""
+
+    command, noun, plural = "dse", "search", "searches"
+    help = "evolutionary design-space exploration"
+    spec_flag = "--search"
+    spec_help = ("canned search name (see `dse list`) or a JSON spec file "
+                 "path")
+    run_help = "run a search's full generation schedule"
+    jobs_help = "parallel worker processes per generation"
+    unit, stop_kwarg = "generations", "stop_after_generations"
+    list_format = ("{name:<16} cpu={spec.cpu} workload={spec.workload:<8} "
+                   "{spec.generations} gen x {spec.population} genomes")
+    overrides = (("generations", "override the generation count"),
+                 ("population", "override the population size"))
+    extra_verbs = (("recommend",
+                    "print the recommended operating point as JSON"),)
+
+    def api(self):
+        from repro.dse import CANNED_SEARCHES, DseRunner, resolve_search
+
+        return DseRunner, resolve_search, CANNED_SEARCHES
+
+    def add_run_options(self, parser) -> None:
+        parser.add_argument(
+            "--service", default=None, metavar="HOST:PORT",
+            help="evaluate generations on a running simulation service "
+                 "instead of in-process")
+
+    def make_runner(self, runner_cls, spec, out_dir, args):
+        from repro.dse import ServiceEvalBackend
+
+        backend = None
+        if args.service:
+            host, _, port = args.service.rpartition(":")
+            backend = ServiceEvalBackend(spec, host=host or "127.0.0.1",
+                                         port=int(port))
+        return runner_cls(spec, out_dir=out_dir, jobs=args.jobs,
+                          backend=backend)
+
+    def do_recommend(self, args: argparse.Namespace) -> int:
+        import json
+
+        rec = self.read_report(args.out).get("recommendation")
         if not rec:
             raise SystemExit("no recommendation yet: the search has not "
                              "completed a generation")
         print(json.dumps(rec, indent=2, sort_keys=True))
         return 0
 
-    # run / resume
-    try:
-        if args.dse_cmd == "resume" and args.search is None:
-            spec = load_checkpoint_spec(Path(args.out))
-        else:
-            spec = resolve_search(args.search)
-    except (ValueError, FileNotFoundError, CheckpointMismatchError) as exc:
-        raise SystemExit(str(exc))
-    overrides = {}
-    for field in ("seed", "generations", "population"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        spec = spec.with_overrides(**overrides)
-
-    backend = None
-    if args.service:
-        host, _, port = args.service.rpartition(":")
-        backend = ServiceEvalBackend(spec, host=host or "127.0.0.1",
-                                     port=int(port))
-    out_dir = Path(args.out) if args.out else None
-    runner = DseRunner(spec, out_dir=out_dir, jobs=args.jobs,
-                       backend=backend)
-    try:
-        report = runner.run(resume=args.dse_cmd == "resume",
-                            stop_after_generations=args.max_generations)
-    except CheckpointMismatchError as exc:
-        raise SystemExit(str(exc))
-    if out_dir is not None:
-        report = runner.write_outputs(html=not args.no_html)
-
-    print(f"search     : {report['search']}  "
-          f"({report['n_generations']}/{report['generations_requested']} "
-          "generations)")
-    print(f"frontier   : {len(report['front'])} points, "
-          f"{report['front_violations']} security violations")
-    rec = report.get("recommendation")
-    if rec:
-        print(f"recommended: {rec['describe']}")
-        print(f"  perf {rec['perf_change_pct']:+.2f}%  "
-              f"power {rec['power_change_pct']:+.2f}%  "
-              f"efficiency {rec['efficiency_change_pct']:+.2f}%  "
-              f"headroom {rec['objectives']['security_headroom_mv']:.1f} mV")
-    if out_dir is not None:
-        print(f"artifacts  : {out_dir / REPORT_NAME}"
-              + ("" if args.no_html else f", {out_dir / HTML_NAME}"))
-    if report["n_generations"] < report["generations_requested"]:
-        print("incomplete : dse resume --out ... continues")
-    return 0
+    def summary(self, report: dict):
+        lines = [f"search     : {report['search']}  "
+                 f"({report['n_generations']}/"
+                 f"{report['generations_requested']} generations)",
+                 f"frontier   : {len(report['front'])} points, "
+                 f"{report['front_violations']} security violations"]
+        rec = report.get("recommendation")
+        if rec:
+            lines += [
+                f"recommended: {rec['describe']}",
+                f"  perf {rec['perf_change_pct']:+.2f}%  "
+                f"power {rec['power_change_pct']:+.2f}%  "
+                f"efficiency {rec['efficiency_change_pct']:+.2f}%  "
+                f"headroom {rec['objectives']['security_headroom_mv']:.1f} mV"]
+        pending = (report["n_generations"] < report["generations_requested"]
+                   and "incomplete : dse resume --out ... continues")
+        return lines, pending
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
@@ -1014,117 +1109,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of the summary")
     p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser("campaign",
-                       help="structured fault-injection campaigns")
-    camp_sub = p.add_subparsers(dest="campaign_cmd", required=True)
-    cr = camp_sub.add_parser(
-        "run", help="execute a campaign's full sample matrix")
-    cr.add_argument("--spec", required=True,
-                    help="canned campaign name (see `campaign list`) or a "
-                         "JSON/TOML spec file path")
-    cr.add_argument("--seed", type=int, default=None,
-                    help="override the spec's master seed")
-    cr.add_argument("--samples", type=_positive_int, default=None,
-                    help="override runs per undervolt grid point")
-    cr.add_argument("--out", default=None,
-                    help="artifact directory (checkpoint, JSON report, "
-                         "HTML dashboard); omit to run in memory")
-    cr.add_argument("--jobs", type=_positive_int, default=1,
-                    help="parallel worker processes")
-    cr.add_argument("--max-runs", type=_positive_int, default=None,
-                    help="stop after N runs (checkpoint stays resumable)")
-    cr.add_argument("--no-html", action="store_true",
-                    help="skip the HTML dashboard")
-    cr.set_defaults(func=cmd_campaign)
-    cs = camp_sub.add_parser(
-        "resume", help="continue an interrupted campaign from its checkpoint")
-    cs.add_argument("--out", required=True,
-                    help="artifact directory holding campaign.ckpt.json")
-    cs.add_argument("--spec", default=None,
-                    help="spec name/path (default: the checkpoint's spec)")
-    cs.add_argument("--seed", type=int, default=None,
-                    help="override the spec's master seed")
-    cs.add_argument("--samples", type=_positive_int, default=None,
-                    help="override runs per undervolt grid point")
-    cs.add_argument("--jobs", type=_positive_int, default=1,
-                    help="parallel worker processes")
-    cs.add_argument("--max-runs", type=_positive_int, default=None,
-                    help="stop after N further runs")
-    cs.add_argument("--no-html", action="store_true",
-                    help="skip the HTML dashboard")
-    cs.set_defaults(func=cmd_campaign)
-    cp = camp_sub.add_parser(
-        "report", help="re-render the HTML dashboard from a written "
-                       "campaign_report.json")
-    cp.add_argument("--out", required=True,
-                    help="artifact directory holding campaign_report.json")
-    cp.set_defaults(func=cmd_campaign)
-    cl = camp_sub.add_parser("list", help="list the canned campaigns")
-    cl.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser("dse",
-                       help="evolutionary design-space exploration")
-    dse_sub = p.add_subparsers(dest="dse_cmd", required=True)
-    dr = dse_sub.add_parser(
-        "run", help="run a search's full generation schedule")
-    dr.add_argument("--search", required=True,
-                    help="canned search name (see `dse list`) or a JSON "
-                         "spec file path")
-    dr.add_argument("--seed", type=int, default=None,
-                    help="override the search's master seed")
-    dr.add_argument("--generations", type=_positive_int, default=None,
-                    help="override the generation count")
-    dr.add_argument("--population", type=_positive_int, default=None,
-                    help="override the population size")
-    dr.add_argument("--out", default=None,
-                    help="artifact directory (checkpoint, JSON report, "
-                         "HTML dashboard); omit to run in memory")
-    dr.add_argument("--jobs", type=_positive_int, default=1,
-                    help="parallel worker processes per generation")
-    dr.add_argument("--service", default=None, metavar="HOST:PORT",
-                    help="evaluate generations on a running simulation "
-                         "service instead of in-process")
-    dr.add_argument("--max-generations", type=_positive_int, default=None,
-                    help="stop after N generations (checkpoint stays "
-                         "resumable)")
-    dr.add_argument("--no-html", action="store_true",
-                    help="skip the HTML dashboard")
-    dr.set_defaults(func=cmd_dse)
-    ds = dse_sub.add_parser(
-        "resume", help="continue an interrupted search from its checkpoint")
-    ds.add_argument("--out", required=True,
-                    help="artifact directory holding dse.ckpt.json")
-    ds.add_argument("--search", default=None,
-                    help="search name/path (default: the checkpoint's spec)")
-    ds.add_argument("--seed", type=int, default=None,
-                    help="override the search's master seed")
-    ds.add_argument("--generations", type=_positive_int, default=None,
-                    help="override the generation count")
-    ds.add_argument("--population", type=_positive_int, default=None,
-                    help="override the population size")
-    ds.add_argument("--jobs", type=_positive_int, default=1,
-                    help="parallel worker processes per generation")
-    ds.add_argument("--service", default=None, metavar="HOST:PORT",
-                    help="evaluate generations on a running simulation "
-                         "service instead of in-process")
-    ds.add_argument("--max-generations", type=_positive_int, default=None,
-                    help="stop after N further generations")
-    ds.add_argument("--no-html", action="store_true",
-                    help="skip the HTML dashboard")
-    ds.set_defaults(func=cmd_dse)
-    dp = dse_sub.add_parser(
-        "report", help="re-render the HTML dashboard from a written "
-                       "dse_report.json")
-    dp.add_argument("--out", required=True,
-                    help="artifact directory holding dse_report.json")
-    dp.set_defaults(func=cmd_dse)
-    dc = dse_sub.add_parser(
-        "recommend", help="print the recommended operating point as JSON")
-    dc.add_argument("--out", required=True,
-                    help="artifact directory holding dse_report.json")
-    dc.set_defaults(func=cmd_dse)
-    dl = dse_sub.add_parser("list", help="list the canned searches")
-    dl.set_defaults(func=cmd_dse)
+    _CampaignCommand().register(sub)
+    _DseCommand().register(sub)
 
     p = sub.add_parser("metrics",
                        help="fetch a running service's metrics")

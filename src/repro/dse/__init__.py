@@ -36,11 +36,11 @@ from repro.dse.objectives import (REFERENCE_POINT, SimJob, objective_vector,
 from repro.dse.pareto import (crowding_distance, dominates, hypervolume,
                               non_dominated_sort, pareto_front_indices)
 from repro.dse.report import ReportBuilder
-from repro.dse.runner import (CheckpointMismatchError, DseRunner,
-                              load_checkpoint_spec)
+from repro.dse.runner import DseRunner, load_checkpoint_spec
 from repro.dse.space import (CANNED_SEARCHES, DseSpec, Genome, canned_search,
                              crossover, load_search, mutate, random_genome,
                              resolve_search)
+from repro.runtime.study import CheckpointMismatchError
 
 __all__ = [
     "CANNED_SEARCHES",

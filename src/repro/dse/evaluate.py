@@ -27,7 +27,6 @@ Two backends share that contract:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
@@ -36,6 +35,7 @@ from repro.dse.objectives import (SimJob, objective_vector,
 from repro.dse.space import DseSpec, Genome
 from repro.hardware.models import ALL_CPU_FACTORIES
 from repro.runtime.cache import ResultCache, domain_cache_key, package_digest
+from repro.runtime.study import fan_out
 
 #: Cache-key domain for DSE simulation payloads.
 CACHE_DOMAIN = "repro.dse.sim.v1"
@@ -109,8 +109,8 @@ def evaluate_job_group(spec: DseSpec, jobs: Sequence[SimJob]) -> Dict[str, dict]
 
 
 def _pool_eval_group(spec_json: str, jobs_json: str) -> Dict[str, dict]:
-    """Process-pool entry point: rebuild spec and jobs from JSON (so
-    the task payload is picklable and version-stable) and evaluate."""
+    """Task function: rebuild spec and jobs from JSON (so the task
+    payload is picklable and version-stable) and evaluate."""
     spec = DseSpec.from_json_dict(json.loads(spec_json))
     jobs = [SimJob.from_json_dict(j) for j in json.loads(jobs_json)]
     return evaluate_job_group(spec, jobs)
@@ -146,7 +146,40 @@ def build_record(spec: DseSpec, cpu, genome: Genome, sim: dict) -> dict:
     }
 
 
-class LocalEvalBackend:
+class _EvalBackend:
+    """What both backends share: the simulation memo, its hit counters
+    and the per-generation flow — dedupe genomes into un-memoized jobs
+    (in key order), ``_simulate`` them, build every genome's record."""
+
+    def __init__(self, spec: DseSpec) -> None:
+        self.spec = spec
+        self.cpu = ALL_CPU_FACTORIES[spec.cpu]()
+        self.sims: Dict[str, dict] = {}
+        self.memo_hits = 0
+        self.cache_hits = 0
+
+    def _cached(self, job: SimJob) -> bool:
+        """Fill :attr:`sims` for *job* from a cache, if there is one."""
+        return False
+
+    def evaluate(self, genomes: Sequence[Genome]) -> List[dict]:
+        """Evaluation records for *genomes*, in input order."""
+        unique: Dict[str, SimJob] = {}
+        for genome in genomes:
+            job = SimJob.from_genome(self.spec, genome)
+            key = job.key()
+            if key in self.sims:
+                self.memo_hits += 1
+            elif key not in unique and not self._cached(job):
+                unique[key] = job
+        self._simulate([unique[key] for key in sorted(unique)])
+        return [build_record(self.spec, self.cpu, genome,
+                             self.sims[SimJob.from_genome(self.spec,
+                                                          genome).key()])
+                for genome in genomes]
+
+
+class LocalEvalBackend(_EvalBackend):
     """Evaluates genomes in-process (optionally over a process pool).
 
     Args:
@@ -168,13 +201,9 @@ class LocalEvalBackend:
         """See class docstring."""
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.spec = spec
+        super().__init__(spec)
         self.jobs = jobs
         self.cache = cache
-        self.cpu = ALL_CPU_FACTORIES[spec.cpu]()
-        self.sims: Dict[str, dict] = {}
-        self.memo_hits = 0
-        self.cache_hits = 0
 
     def _cache_key(self, job: SimJob) -> str:
         """On-disk cache key of *job* under this search's trace seed."""
@@ -183,65 +212,42 @@ class LocalEvalBackend:
             payload={"job": job.to_json_dict(), "seed": self.spec.seed},
             package_digest=package_digest())
 
-    def _missing_groups(self, genomes: Sequence[Genome]
-                        ) -> List[List[SimJob]]:
-        """Unique un-memoized jobs, grouped by deadline, sorted stably."""
-        unique: Dict[str, SimJob] = {}
-        for genome in genomes:
-            job = SimJob.from_genome(self.spec, genome)
-            key = job.key()
-            if key in self.sims:
-                self.memo_hits += 1
-                continue
-            if key in unique:
-                continue
-            if self.cache is not None:
-                hit = self.cache.get(self._cache_key(job))
-                if hit is not None and all(f in hit for f in _SIM_FIELDS):
-                    self.sims[key] = {f: hit[f] for f in _SIM_FIELDS}
-                    self.cache_hits += 1
-                    continue
-            unique[key] = job
+    def _cached(self, job: SimJob) -> bool:
+        if self.cache is None:
+            return False
+        hit = self.cache.get(self._cache_key(job))
+        if hit is None or not all(f in hit for f in _SIM_FIELDS):
+            return False
+        self.sims[job.key()] = {f: hit[f] for f in _SIM_FIELDS}
+        self.cache_hits += 1
+        return True
+
+    def _simulate(self, jobs: List[SimJob]) -> None:
+        """One pooled task per deadline group; fill the disk cache."""
         groups: Dict[float, List[SimJob]] = {}
-        for key in sorted(unique):
-            job = unique[key]
+        for job in jobs:
             groups.setdefault(job.deadline_us, []).append(job)
-        return [groups[deadline] for deadline in sorted(groups)]
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[dict]:
-        """Evaluation records for *genomes*, in input order."""
-        groups = self._missing_groups(genomes)
-        if self.jobs > 1 and len(groups) > 1:
-            spec_json = json.dumps(self.spec.to_json_dict())
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = [
-                    pool.submit(
-                        _pool_eval_group, spec_json,
-                        json.dumps([j.to_json_dict() for j in group]))
-                    for group in groups]
-                for future in futures:
-                    self.sims.update(future.result())
-        else:
-            for group in groups:
-                self.sims.update(evaluate_job_group(self.spec, group))
+        spec_json = json.dumps(self.spec.to_json_dict())
+        tasks = [(spec_json,
+                  json.dumps([j.to_json_dict() for j in groups[deadline]]))
+                 for deadline in sorted(groups)]
+        for _, payloads in fan_out(_pool_eval_group, tasks, self.jobs):
+            self.sims.update(payloads)  # groups hold disjoint job keys
         if self.cache is not None:
-            for group in groups:
-                for job in group:
-                    self.cache.put(self._cache_key(job),
-                                   self.sims[job.key()])
-        return [build_record(self.spec, self.cpu, genome,
-                             self.sims[SimJob.from_genome(self.spec,
-                                                          genome).key()])
-                for genome in genomes]
+            for job in jobs:
+                self.cache.put(self._cache_key(job), self.sims[job.key()])
 
 
-class ServiceEvalBackend:
+class ServiceEvalBackend(_EvalBackend):
     """Evaluates genomes through a running simulation service or fleet.
 
     Each missing job becomes one :class:`~repro.service.request.SimRequest`
     carrying the search's seed plus the job's ``deadline_us`` and
     ``imul_extra_cycles``; the worker tier groups same-trace requests
     into vectorized sweeps on its side, so a generation still batches.
+    :meth:`evaluate` raises RuntimeError when the service fails any
+    request — a DSE with silently missing evaluations would quietly
+    explore a different space.
 
     Args:
         spec: the search being evaluated.
@@ -254,14 +260,10 @@ class ServiceEvalBackend:
                  port: int = 8642,
                  timeout_s: Optional[float] = None) -> None:
         """See class docstring."""
-        self.spec = spec
+        super().__init__(spec)
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self.cpu = ALL_CPU_FACTORIES[spec.cpu]()
-        self.sims: Dict[str, dict] = {}
-        self.memo_hits = 0
-        self.cache_hits = 0
 
     def _request_for(self, job: SimJob):
         """The wire request evaluating *job*."""
@@ -273,39 +275,21 @@ class ServiceEvalBackend:
             n_cores=job.n_cores, deadline_us=job.deadline_us,
             imul_extra_cycles=job.imul_extra_cycles)
 
-    def evaluate(self, genomes: Sequence[Genome]) -> List[dict]:
-        """Evaluation records for *genomes*, in input order.
-
-        Raises:
-            RuntimeError: when the service fails any request — a DSE
-                with silently missing evaluations would quietly explore
-                a different space.
-        """
+    def _simulate(self, jobs: List[SimJob]) -> None:
+        """One request per job, in one exchange."""
         from repro.service.client import request_simulations
 
-        unique: Dict[str, SimJob] = {}
-        for genome in genomes:
-            job = SimJob.from_genome(self.spec, genome)
-            key = job.key()
-            if key in self.sims:
-                self.memo_hits += 1
-            elif key not in unique:
-                unique[key] = job
-        jobs = [unique[key] for key in sorted(unique)]
-        if jobs:
-            responses = request_simulations(
-                [self._request_for(job) for job in jobs],
-                host=self.host, port=self.port, timeout_s=self.timeout_s)
-            for job, response in zip(jobs, responses):
-                if not response.ok or not isinstance(response.payload, dict):
-                    raise RuntimeError(
-                        f"service failed job {job.key()[:12]} "
-                        f"({job.strategy}@{job.offset_mv:g}mV): "
-                        f"{response.status}: {response.error}")
-                payload = dict(response.payload)
-                payload["path"] = "service"
-                self.sims[job.key()] = {f: payload[f] for f in _SIM_FIELDS}
-        return [build_record(self.spec, self.cpu, genome,
-                             self.sims[SimJob.from_genome(self.spec,
-                                                          genome).key()])
-                for genome in genomes]
+        if not jobs:
+            return
+        responses = request_simulations(
+            [self._request_for(job) for job in jobs],
+            host=self.host, port=self.port, timeout_s=self.timeout_s)
+        for job, response in zip(jobs, responses):
+            if not response.ok or not isinstance(response.payload, dict):
+                raise RuntimeError(
+                    f"service failed job {job.key()[:12]} "
+                    f"({job.strategy}@{job.offset_mv:g}mV): "
+                    f"{response.status}: {response.error}")
+            payload = dict(response.payload)
+            payload["path"] = "service"
+            self.sims[job.key()] = {f: payload[f] for f in _SIM_FIELDS}

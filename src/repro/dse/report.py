@@ -1,4 +1,4 @@
-"""Static-HTML DSE dashboards (stdlib templating only).
+"""Static-HTML DSE dashboards, rendered through :mod:`repro.obs.html`.
 
 :class:`ReportBuilder` turns a search report dict
 (:meth:`repro.dse.runner.DseRunner.build_report`) into one
@@ -21,7 +21,12 @@ Colors are the Okabe-Ito colorblind-safe palette.
 from __future__ import annotations
 
 import html
-from typing import List, Sequence, Tuple
+import math
+from typing import Tuple
+
+from repro.dse.space import Genome
+from repro.obs.html import (chart_frame, fmt, legend, line_chart, page,
+                            table)
 
 #: Okabe-Ito assignments for the scatter classes.
 POINT_COLORS = {
@@ -32,26 +37,11 @@ POINT_COLORS = {
 }
 
 _CSS = """
-body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto;
-       max-width: 68rem; color: #1a1a1a; }
-h1 { font-size: 1.5rem; } h2 { font-size: 1.15rem; margin-top: 2rem; }
-table { border-collapse: collapse; width: 100%; font-size: 13px; }
-th, td { border: 1px solid #ddd; padding: 4px 8px; text-align: left; }
-th { background: #f4f4f4; }
 tr.recommended td { background: #fdf3e0; }
-.swatch { display: inline-block; width: 10px; height: 10px;
-          margin-right: 4px; border-radius: 2px; }
 .card { border: 1px solid #E69F00; border-radius: 6px; padding: 0.8rem
         1rem; background: #fdf8ef; margin: 1rem 0; }
 .card b { font-size: 1.05rem; }
-.meta { color: #555; font-size: 13px; }
-code { background: #f4f4f4; padding: 1px 4px; border-radius: 3px; }
-svg { background: #fcfcfc; border: 1px solid #eee; }
-""".strip()
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.4g}"
+"""
 
 
 class ReportBuilder:
@@ -64,33 +54,7 @@ class ReportBuilder:
                 f"unsupported report schema {report.get('schema')!r}")
         self.report = report
 
-    # -- SVG helpers -----------------------------------------------------
-
-    @staticmethod
-    def _axes(width: int, height: int, pad: int,
-              x_labels: Sequence[str], y_labels: Sequence[str]) -> List[str]:
-        """Axis lines plus tick labels for one chart."""
-        parts = [
-            f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-            f'y2="{height - pad}" stroke="#333" stroke-width="1" />',
-            f'<line x1="{pad}" y1="{pad}" x2="{pad}" '
-            f'y2="{height - pad}" stroke="#333" stroke-width="1" />',
-        ]
-        span_x = width - 2 * pad
-        for i, label in enumerate(x_labels):
-            x = pad + (span_x * i / max(1, len(x_labels) - 1))
-            parts.append(
-                f'<text x="{x:.1f}" y="{height - pad + 16}" '
-                f'text-anchor="middle" font-size="11">'
-                f'{html.escape(label)}</text>')
-        span_y = height - 2 * pad
-        for i, label in enumerate(y_labels):
-            y = height - pad - (span_y * i / max(1, len(y_labels) - 1))
-            parts.append(
-                f'<text x="{pad - 6}" y="{y:.1f}" text-anchor="end" '
-                f'dominant-baseline="middle" font-size="11">'
-                f'{html.escape(label)}</text>')
-        return parts
+    # -- charts ----------------------------------------------------------
 
     def _scatter(self) -> str:
         """Every evaluated genome in (duration, energy) space."""
@@ -115,20 +79,11 @@ class ReportBuilder:
                 (r["energy_ratio"] - y_lo) / y_span
             return x, y
 
-        parts = [
-            f'<svg role="img" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}" '
-            'xmlns="http://www.w3.org/2000/svg">',
-            '<title>Pareto scatter: duration vs energy</title>',
-        ]
-        parts += self._axes(
-            width, height, pad,
-            [_fmt(x_lo), _fmt((x_lo + x_hi) / 2), _fmt(x_hi)],
-            [_fmt(y_lo), _fmt((y_lo + y_hi) / 2), _fmt(y_hi)])
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{height - 8}" '
-            'text-anchor="middle" font-size="11">duration ratio '
-            '(lower = faster)</text>')
+        parts = chart_frame(
+            "Pareto scatter: duration vs energy", width, height, pad,
+            [fmt(x_lo), fmt((x_lo + x_hi) / 2), fmt(x_hi)],
+            [fmt(y_lo), fmt((y_lo + y_hi) / 2), fmt(y_hi)],
+            "duration ratio (lower = faster)")
         parts.append(
             f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" '
             f'font-size="11" transform="rotate(-90 14 {height / 2:.0f})">'
@@ -136,8 +91,9 @@ class ReportBuilder:
         starred = None
         for r in records:
             x, y = place(r)
-            title = (f'{html.escape(Genome_describe(r["genome"]))} — '
-                     f'headroom {_fmt(r["headroom_mv"])} mV')
+            label = Genome.from_json_dict(r["genome"]).describe()
+            title = (f'{html.escape(label)} — '
+                     f'headroom {fmt(r["headroom_mv"])} mV')
             if r["key"] == rec_key:
                 starred = (x, y, title)
                 continue
@@ -159,54 +115,26 @@ class ReportBuilder:
                 f'stroke-width="1"><title>recommended: {title}'
                 '</title></path>')
         parts.append("</svg>")
-        legend = " ".join(
-            f'<span><span class="swatch" style="background:'
-            f'{POINT_COLORS[k]}"></span>{label}</span>'
-            for k, label in (("front", "Pareto front"),
-                             ("dominated", "dominated"),
-                             ("violating", "security violation"),
-                             ("recommended", "recommended")))
-        return "\n".join(parts) + f'\n<p class="meta">{legend}</p>'
+        parts.append(legend(
+            [(POINT_COLORS[k], label)
+             for k, label in (("front", "Pareto front"),
+                              ("dominated", "dominated"),
+                              ("violating", "security violation"),
+                              ("recommended", "recommended"))]))
+        return "\n".join(parts)
 
     def _hypervolume_chart(self) -> str:
         """Dominated hypervolume per generation."""
         rows = self.report["generations"]
         if not rows:
             return ""
-        width, height, pad = 640, 240, 52
         values = [row["hypervolume"] for row in rows]
         hi = max(values) or 1.0
-        parts = [
-            f'<svg role="img" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}" '
-            'xmlns="http://www.w3.org/2000/svg">',
-            '<title>Hypervolume per generation</title>',
-        ]
-        parts += self._axes(
-            width, height, pad,
+        return line_chart(
+            "Hypervolume per generation",
             [str(row["index"]) for row in rows],
-            ["0", _fmt(hi / 2), _fmt(hi)])
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{height - 8}" '
-            'text-anchor="middle" font-size="11">generation</text>')
-        span_x, span_y = width - 2 * pad, height - 2 * pad
-
-        def point(i: int, value: float) -> Tuple[float, float]:
-            x = pad + span_x * i / max(1, len(rows) - 1)
-            y = height - pad - span_y * (value / hi)
-            return x, y
-
-        coords = [point(i, v) for i, v in enumerate(values)]
-        path = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-        parts.append(
-            f'<polyline points="{path}" fill="none" '
-            f'stroke="{POINT_COLORS["front"]}" stroke-width="2" />')
-        for x, y in coords:
-            parts.append(
-                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3.5" '
-                f'fill="{POINT_COLORS["front"]}" />')
-        parts.append("</svg>")
-        return "\n".join(parts)
+            ["0", fmt(hi / 2), fmt(hi)], "generation",
+            [(POINT_COLORS["front"], [v / hi for v in values])], pad=52)
 
     # -- cards and tables ------------------------------------------------
 
@@ -219,57 +147,49 @@ class ReportBuilder:
         objectives = rec["objectives"]
         return f"""<div class="card">
 <b>{html.escape(rec["describe"])}</b>
-<p class="meta">TOPSIS closeness {_fmt(rec["topsis"])} ·
-weighted-sum score {_fmt(rec["weighted_sum"])}</p>
+<p class="meta">TOPSIS closeness {fmt(rec["topsis"])} ·
+weighted-sum score {fmt(rec["weighted_sum"])}</p>
 <table><tbody>
 <tr><td>efficient-curve offset</td><td>{rec["offset_mv"]:g} mV</td></tr>
-<tr><td>performance change</td><td>{_fmt(rec["perf_change_pct"])}%</td></tr>
-<tr><td>power change</td><td>{_fmt(rec["power_change_pct"])}%</td></tr>
+<tr><td>performance change</td><td>{fmt(rec["perf_change_pct"])}%</td></tr>
+<tr><td>power change</td><td>{fmt(rec["power_change_pct"])}%</td></tr>
 <tr><td>efficiency change</td>
-<td>{_fmt(rec["efficiency_change_pct"])}%</td></tr>
+<td>{fmt(rec["efficiency_change_pct"])}%</td></tr>
 <tr><td>duration ratio</td>
-<td>{_fmt(objectives["duration_ratio"])}</td></tr>
-<tr><td>energy ratio</td><td>{_fmt(objectives["energy_ratio"])}</td></tr>
+<td>{fmt(objectives["duration_ratio"])}</td></tr>
+<tr><td>energy ratio</td><td>{fmt(objectives["energy_ratio"])}</td></tr>
 <tr><td>security headroom</td>
-<td>{_fmt(objectives["security_headroom_mv"])} mV</td></tr>
+<td>{fmt(objectives["security_headroom_mv"])} mV</td></tr>
 </tbody></table>
 </div>"""
 
     def _generation_table(self) -> str:
-        rows = "".join(
-            f'<tr><td>{row["index"]}</td><td>{row["n_evaluated"]}</td>'
-            f'<td>{row["n_feasible"]}</td><td>{row["front_size"]}</td>'
-            f'<td>{_fmt(row["hypervolume"])}</td></tr>'
-            for row in self.report["generations"])
-        return ('<table><thead><tr><th>generation</th><th>evaluated</th>'
-                '<th>feasible</th><th>front size</th><th>hypervolume</th>'
-                f'</tr></thead><tbody>{rows}</tbody></table>')
+        return table(
+            ("generation", "evaluated", "feasible", "front size",
+             "hypervolume"),
+            [(row["index"], row["n_evaluated"], row["n_feasible"],
+              row["front_size"], fmt(row["hypervolume"]))
+             for row in self.report["generations"]])
 
     def _front_table(self) -> str:
-        rec = self.report.get("recommendation") or {}
-        rec_key = rec.get("key")
+        rec_key = (self.report.get("recommendation") or {}).get("key")
         by_key = {r["key"]: r for r in self.report["front"]}
-        rows = []
         ordered = sorted(self.report["ranking"],
                          key=lambda r: r["topsis_rank"])
+        rows = []
         for rank_row in ordered:
             record = by_key[rank_row["key"]]
-            css = ' class="recommended"' if rank_row["key"] == rec_key \
-                else ""
-            rows.append(
-                f'<tr{css}>'
-                f'<td>{rank_row["topsis_rank"]}</td>'
-                f'<td><code>{html.escape(Genome_describe(record["genome"]))}'
-                '</code></td>'
-                f'<td>{_fmt(record["duration_ratio"])}</td>'
-                f'<td>{_fmt(record["energy_ratio"])}</td>'
-                f'<td>{_fmt(record["headroom_mv"])}</td>'
-                f'<td>{_fmt(rank_row["topsis"])}</td>'
-                f'<td>{rank_row["weighted_sum_rank"]}</td></tr>')
-        return ('<table><thead><tr><th>rank</th><th>operating point</th>'
-                '<th>duration</th><th>energy</th><th>headroom (mV)</th>'
-                '<th>TOPSIS</th><th>WS rank</th></tr></thead>'
-                f'<tbody>{"".join(rows)}</tbody></table>')
+            label = Genome.from_json_dict(record["genome"]).describe()
+            rows.append((rank_row["topsis_rank"],
+                         f"<code>{html.escape(label)}</code>",
+                         fmt(record["duration_ratio"]),
+                         fmt(record["energy_ratio"]),
+                         fmt(record["headroom_mv"]), fmt(rank_row["topsis"]),
+                         rank_row["weighted_sum_rank"]))
+        return table(
+            ("rank", "operating point", "duration", "energy",
+             "headroom (mV)", "TOPSIS", "WS rank"), rows,
+            ["recommended" if r["key"] == rec_key else "" for r in ordered])
 
     # -- page ------------------------------------------------------------
 
@@ -284,16 +204,7 @@ weighted-sum score {_fmt(rec["weighted_sum"])}</p>
                 f'<p class="meta"><strong>{r["n_generations"]}/'
                 f'{r["generations_requested"]} generations complete'
                 '</strong> — resume the search to finish.</p>')
-        return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8" />
-<title>DSE report: {name}</title>
-<style>
-{_CSS}
-</style>
-</head>
-<body>
+        return page(f"DSE report: {r['search']}", f"""\
 <h1>Design-space exploration: {name}</h1>
 <p class="meta">workload <code>{html.escape(spec["workload"])}</code> ·
 CPU <code>{html.escape(spec["cpu"])}</code> ·
@@ -312,16 +223,11 @@ spec digest <code>{html.escape(r["spec_digest"][:12])}</code></p>
 <h2>Per-generation progress</h2>
 {self._generation_table()}
 <h2>Ranked frontier</h2>
-{self._front_table()}
-</body>
-</html>
-"""
+{self._front_table()}""", _CSS)
 
 
 def _star_path(cx: float, cy: float, radius: float) -> str:
     """SVG path of a five-pointed star centered on (*cx*, *cy*)."""
-    import math
-
     points = []
     for i in range(10):
         r = radius if i % 2 == 0 else radius * 0.45
@@ -330,10 +236,3 @@ def _star_path(cx: float, cy: float, radius: float) -> str:
     verbs = [f"M {points[0][0]:.1f} {points[0][1]:.1f}"]
     verbs += [f"L {x:.1f} {y:.1f}" for x, y in points[1:]]
     return " ".join(verbs) + " Z"
-
-
-def Genome_describe(genome_dict: dict) -> str:
-    """Compact operating-point label from a genome's JSON dict."""
-    from repro.dse.space import Genome
-
-    return Genome.from_json_dict(genome_dict).describe()

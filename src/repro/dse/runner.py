@@ -10,7 +10,8 @@ per-generation stream seeded with
 trajectory is a pure function of the spec (and independent of
 ``PYTHONHASHSEED``, pool composition and resume points).
 
-Artifacts mirror :mod:`repro.campaigns`: an atomic ``dse.ckpt.json``
+Like the campaign runner, :class:`DseRunner` is a
+:class:`~repro.runtime.study.Study`: an atomic ``dse.ckpt.json``
 rewritten after every completed generation (resume is byte-identical —
 the checkpoint stores populations and the simulation memo, and every
 derived number is recomputed from those), a timestamp-free
@@ -19,8 +20,6 @@ derived number is recomputed from those), a timestamp-free
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -33,6 +32,8 @@ from repro.dse.space import DseSpec, Genome, crossover, mutate, random_genome
 from repro.obs.profiling import profiled
 from repro.obs.registry import get_registry
 from repro.runtime.seeding import derive_seed
+from repro.runtime.study import HTML_NAME  # noqa: F401 - re-exported
+from repro.runtime.study import Study
 
 #: Schema tags; bump on layout changes so stale artifacts fail loudly.
 CKPT_SCHEMA = "repro.dse-checkpoint.v1"
@@ -40,33 +41,12 @@ REPORT_SCHEMA = "repro.dse-report.v1"
 
 CKPT_NAME = "dse.ckpt.json"
 REPORT_NAME = "dse_report.json"
-HTML_NAME = "index.html"
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Write *payload* via tmp-file + rename, so a kill mid-write never
-    leaves a truncated artifact behind."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
-
-
-class CheckpointMismatchError(RuntimeError):
-    """``resume`` found a checkpoint written by a different search."""
 
 
 def load_checkpoint_spec(out_dir: Path) -> DseSpec:
     """The search recorded in *out_dir*'s checkpoint — lets
     ``dse resume --out DIR`` continue without re-passing the spec."""
-    path = Path(out_dir) / CKPT_NAME
-    if not path.exists():
-        raise FileNotFoundError(f"no DSE checkpoint at {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema") != CKPT_SCHEMA:
-        raise CheckpointMismatchError(
-            f"unknown checkpoint schema {payload.get('schema')!r} in {path}")
-    return DseSpec.from_json_dict(payload["spec"])
+    return DseRunner.load_checkpoint_spec(out_dir)
 
 
 def _genome_counter():
@@ -82,7 +62,7 @@ def _generation_counter():
         "DSE generations completed.")
 
 
-class DseRunner:
+class DseRunner(Study):
     """Executes one design-space search.
 
     Args:
@@ -95,57 +75,34 @@ class DseRunner:
             :class:`~repro.dse.evaluate.LocalEvalBackend`.
     """
 
+    CKPT_NAME = CKPT_NAME
+    CKPT_SCHEMA = CKPT_SCHEMA
+    REPORT_NAME = REPORT_NAME
+    SPEC_TYPE = DseSpec
+    KIND = "DSE"
+    SPEC_NOUN = "search"
+
     def __init__(self, spec: DseSpec, out_dir: Optional[Path] = None,
                  jobs: int = 1, backend=None) -> None:
         """See class docstring."""
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.spec = spec
-        self.out_dir = Path(out_dir) if out_dir is not None else None
+        super().__init__(spec, out_dir)
         self.backend = backend if backend is not None \
             else LocalEvalBackend(spec, jobs=jobs)
         #: One entry per completed generation: the population's genome
         #: dicts in breeding order.
         self.populations: List[List[dict]] = []
 
-    # -- checkpointing ---------------------------------------------------
+    def _checkpoint_state(self) -> dict:
+        return {"generations": self.populations,
+                "sims": {key: self.backend.sims[key]
+                         for key in sorted(self.backend.sims)}}
 
-    @property
-    def ckpt_path(self) -> Optional[Path]:
-        """The checkpoint location (None when running in memory)."""
-        return self.out_dir / CKPT_NAME if self.out_dir else None
-
-    def _load_checkpoint(self) -> None:
-        path = self.ckpt_path
-        if path is None or not path.exists():
-            return
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("schema") != CKPT_SCHEMA:
-            raise CheckpointMismatchError(
-                f"unknown checkpoint schema {payload.get('schema')!r} "
-                f"in {path}")
-        if payload.get("spec_digest") != self.spec.digest():
-            raise CheckpointMismatchError(
-                f"checkpoint in {path} was written by a different search "
-                f"(digest {payload.get('spec_digest')!r} != "
-                f"{self.spec.digest()!r}); delete it or rerun with the "
-                "original spec")
+    def _restore(self, payload: dict) -> None:
         self.populations = [list(generation)
                             for generation in payload.get("generations", [])]
         self.backend.sims.update(payload.get("sims", {}))
-
-    def _save_checkpoint(self) -> None:
-        path = self.ckpt_path
-        if path is None:
-            return
-        _atomic_write_json(path, {
-            "schema": CKPT_SCHEMA,
-            "spec_digest": self.spec.digest(),
-            "spec": self.spec.to_json_dict(),
-            "generations": self.populations,
-            "sims": {key: self.backend.sims[key]
-                     for key in sorted(self.backend.sims)},
-        })
 
     # -- evolutionary machinery ------------------------------------------
 
@@ -241,10 +198,7 @@ class DseRunner:
                 interrupted search); the checkpoint stays on disk for a
                 later resume.
         """
-        if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-        if resume:
-            self._load_checkpoint()
+        self._start(resume)
         completed_now = 0
         gen_counter = _generation_counter()
         while len(self.populations) < self.spec.generations:
@@ -384,16 +338,9 @@ class DseRunner:
         }
         return ranking, recommendation
 
-    def write_outputs(self, html: bool = True) -> dict:
-        """Write ``dse_report.json`` (and the HTML dashboard) into the
-        artifact directory; returns the report dict."""
-        if self.out_dir is None:
-            raise ValueError("DseRunner needs an out_dir to write outputs")
-        report = self.build_report()
-        _atomic_write_json(self.out_dir / REPORT_NAME, report)
-        if html:
-            from repro.dse.report import ReportBuilder
+    @staticmethod
+    def render_html(report: dict) -> str:
+        """The standalone DSE dashboard of *report*."""
+        from repro.dse.report import ReportBuilder
 
-            (self.out_dir / HTML_NAME).write_text(
-                ReportBuilder(report).render(), encoding="utf-8")
-        return report
+        return ReportBuilder(report).render()

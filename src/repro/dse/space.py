@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
+
+from repro.runtime.study import StudySpec
 
 #: Strategies a genome may select (matches the service / CLI set).
 KNOWN_STRATEGIES: Tuple[str, ...] = ("fV", "f", "V", "e")
@@ -151,7 +153,7 @@ class Genome:
 
 
 @dataclass(frozen=True)
-class DseSpec:
+class DseSpec(StudySpec):
     """One design-space search, declaratively.
 
     Attributes:
@@ -237,44 +239,11 @@ class DseSpec:
         if self.security_floor_mv < 0:
             raise ValueError("security_floor_mv must be non-negative")
 
-    def to_json_dict(self) -> dict:
-        """Plain-JSON form (round-trips through :meth:`from_json_dict`)."""
-        payload = asdict(self)
-        for key in ("deadlines_us", "strategies", "offsets_mv", "corners",
-                    "imul_latencies", "weights"):
-            payload[key] = list(payload[key])
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DseSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output (or a parsed
-        spec file); unknown keys raise so typos fail loudly."""
-        known = set(cls.__dataclass_fields__)  # type: ignore[attr-defined]
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown spec field(s): {sorted(unknown)}")
-        data = dict(payload)
-        for key in ("deadlines_us", "strategies", "offsets_mv", "corners",
-                    "imul_latencies", "weights"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
-
     def canonical_json(self) -> str:
-        """Deterministic serialization (digest input)."""
+        """Deterministic serialization (digest input), schema-tagged."""
         return json.dumps({"schema": _SPEC_SCHEMA,
                            "spec": self.to_json_dict()},
                           sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Content address; checkpoints pin it so ``dse resume``
-        refuses a checkpoint written by a different search."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")).hexdigest()
-
-    def with_overrides(self, **kwargs) -> "DseSpec":
-        """A copy with the given fields replaced (CLI overrides)."""
-        return replace(self, **kwargs)
 
 
 # -- variation operators --------------------------------------------------

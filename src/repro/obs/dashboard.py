@@ -4,12 +4,12 @@ Both views render the same inputs — one or more
 :class:`~repro.obs.timeseries.MetricsScraper`\\ s (one per scrape
 target: a single service, or gateway + every node), an optional
 :class:`~repro.obs.slo.SLOMonitor` and the flight-recorder/trace
-summaries — and both are stdlib-only, in the ``campaigns``
-:class:`~repro.campaigns.report.ReportBuilder` tradition: no server,
-no JavaScript, no external assets.  The HTML page is inline CSS plus
-inline-SVG sparklines, so ``python -m repro obs dashboard`` writes one
-self-contained file that renders from ``file://`` and archives next to
-the trace JSON it links to.
+summaries — and both are stdlib-only.  The HTML page renders through
+the shared kit :mod:`repro.obs.html` (no server, no JavaScript, no
+external assets): inline CSS plus inline-SVG sparklines, so
+``python -m repro obs dashboard`` writes one self-contained file that
+renders from ``file://`` and archives next to the trace JSON it links
+to.
 
 ``render_top`` is the text form ``python -m repro obs top`` reprints
 on its poll interval (with ANSI home-and-clear when the terminal
@@ -19,8 +19,9 @@ supports it — no curses dependency, so it also works piped to a file).
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from repro.obs.html import fmt, page, svg_tag, table
 from repro.obs.slo import SLOMonitor
 from repro.obs.timeseries import MetricsScraper
 
@@ -28,33 +29,16 @@ __all__ = ["render_obs_dashboard", "render_top", "sparkline_svg"]
 
 #: Okabe-Ito picks shared with the campaign reports.
 SPARK_COLOR = "#0072B2"
-FIRING_COLOR = "#D55E00"
 OK_COLOR = "#009E73"
 
 _CSS = """
-body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto;
-       max-width: 68rem; color: #1a1a1a; }
-h1 { font-size: 1.5rem; } h2 { font-size: 1.15rem; margin-top: 2rem; }
-table { border-collapse: collapse; width: 100%; font-size: 13px; }
-th, td { border: 1px solid #ddd; padding: 4px 8px; text-align: left; }
-th { background: #f4f4f4; }
 tr.firing td { background: #fdeee6; }
 tr.resolved td { background: #eaf6f0; }
-.meta { color: #555; font-size: 13px; }
-code { background: #f4f4f4; padding: 1px 4px; border-radius: 3px; }
-svg { background: #fcfcfc; border: 1px solid #eee;
-      vertical-align: middle; }
+svg { vertical-align: middle; }
 .badge { display: inline-block; padding: 0 6px; border-radius: 3px;
          color: #fff; font-size: 12px; }
 .badge.firing { background: #D55E00; } .badge.ok { background: #009E73; }
-""".strip()
-
-
-def _fmt(value, digits: int = 4) -> str:
-    """Numeric cell text; em-dash for missing values."""
-    if value is None:
-        return "—"
-    return f"{value:.{digits}g}"
+"""
 
 
 def sparkline_svg(points: Sequence[float], width: int = 220,
@@ -62,10 +46,7 @@ def sparkline_svg(points: Sequence[float], width: int = 220,
                   title: str = "") -> str:
     """An inline-SVG sparkline of *points* (empty series render flat)."""
     values = [float(v) for v in points]
-    parts = [
-        f'<svg role="img" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" '
-        'xmlns="http://www.w3.org/2000/svg">']
+    parts = [svg_tag(width, height)]
     if title:
         parts.append(f"<title>{html.escape(title)}</title>")
     if values:
@@ -86,7 +67,7 @@ def sparkline_svg(points: Sequence[float], width: int = 220,
             f'stroke="{color}" stroke-width="1.5" />')
         parts.append(
             f'<text x="{width - 4}" y="12" text-anchor="end" '
-            f'font-size="10" fill="#555">{html.escape(_fmt(values[-1]))}'
+            f'font-size="10" fill="#555">{html.escape(fmt(values[-1]))}'
             '</text>')
     parts.append("</svg>")
     return "".join(parts)
@@ -128,12 +109,12 @@ def render_top(scrapers: Dict[str, MetricsScraper],
     for name in sorted(scrapers):
         stats = _target_stats(scrapers[name], window_s)
         lines.append(
-            f"{name:<12} {_fmt(stats['rps'], 3):>8} "
-            f"{_fmt(stats['completed'], 3):>7} "
-            f"{_fmt(stats['failed'], 3):>6} "
-            f"{_fmt(stats['queue_depth'], 3):>6} "
-            f"{_fmt(stats['windowed_p95_s'], 3):>9} "
-            f"{_fmt(stats['cumulative_p95_s'], 3):>9}")
+            f"{name:<12} {fmt(stats['rps'], 3):>8} "
+            f"{fmt(stats['completed'], 3):>7} "
+            f"{fmt(stats['failed'], 3):>6} "
+            f"{fmt(stats['queue_depth'], 3):>6} "
+            f"{fmt(stats['windowed_p95_s'], 3):>9} "
+            f"{fmt(stats['cumulative_p95_s'], 3):>9}")
     if monitor is not None:
         lines.append("")
         state = monitor.state()
@@ -141,8 +122,8 @@ def render_top(scrapers: Dict[str, MetricsScraper],
             flag = "FIRING" if slo["firing"] else "ok"
             lines.append(
                 f"slo {slo['name']:<24} [{flag:^6}] "
-                f"fast burn {_fmt(slo['fast_burn'], 3)}  "
-                f"slow burn {_fmt(slo['slow_burn'], 3)}")
+                f"fast burn {fmt(slo['fast_burn'], 3)}  "
+                f"slow burn {fmt(slo['slow_burn'], 3)}")
     return "\n".join(lines)
 
 
@@ -169,10 +150,6 @@ def render_obs_dashboard(scrapers: Dict[str, MetricsScraper],
         window_s: the window behind every rate/percentile column.
     """
     parts: List[str] = [
-        "<!DOCTYPE html>", '<html lang="en">', "<head>",
-        '<meta charset="utf-8">',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_CSS}</style>", "</head>", "<body>",
         f"<h1>{html.escape(title)}</h1>",
         f'<p class="meta">windowed over the last {window_s:g}s; '
         "cumulative columns shown for contrast — during a cold warm-up "
@@ -180,26 +157,21 @@ def render_obs_dashboard(scrapers: Dict[str, MetricsScraper],
     ]
 
     parts.append("<h2>Targets</h2>")
-    parts.append("<table><tr><th>target</th><th>req/s</th>"
-                 "<th>completed</th><th>failed</th><th>queue</th>"
-                 "<th>windowed p95 (s)</th><th>cumulative p95 (s)</th>"
-                 "<th>req/s trend</th><th>queue trend</th></tr>")
+    rows = []
     for name in sorted(scrapers):
         stats = _target_stats(scrapers[name], window_s)
-        parts.append(
-            "<tr>"
-            f"<td><code>{html.escape(name)}</code></td>"
-            f"<td>{_fmt(stats['rps'])}</td>"
-            f"<td>{_fmt(stats['completed'])}</td>"
-            f"<td>{_fmt(stats['failed'])}</td>"
-            f"<td>{_fmt(stats['queue_depth'])}</td>"
-            f"<td>{_fmt(stats['windowed_p95_s'])}</td>"
-            f"<td>{_fmt(stats['cumulative_p95_s'])}</td>"
-            f"<td>{sparkline_svg(stats['rps_series'], title=f'{name} req/s')}"
-            "</td>"
-            f"<td>{sparkline_svg(stats['queue_series'], color=OK_COLOR, title=f'{name} queue depth')}</td>"
-            "</tr>")
-    parts.append("</table>")
+        rows.append((
+            f"<code>{html.escape(name)}</code>",
+            *(fmt(stats[key]) for key in (
+                "rps", "completed", "failed", "queue_depth",
+                "windowed_p95_s", "cumulative_p95_s")),
+            sparkline_svg(stats["rps_series"], title=f"{name} req/s"),
+            sparkline_svg(stats["queue_series"], color=OK_COLOR,
+                          title=f"{name} queue depth")))
+    parts.append(table(
+        ("target", "req/s", "completed", "failed", "queue",
+         "windowed p95 (s)", "cumulative p95 (s)", "req/s trend",
+         "queue trend"), rows))
 
     if monitor is not None:
         state = monitor.state()
@@ -211,60 +183,44 @@ def render_obs_dashboard(scrapers: Dict[str, MetricsScraper],
             f"{state['policy']['fast_burn_threshold']:g}&times; and the "
             f"slow {state['policy']['slow_window_s']:g}s window over "
             f"{state['policy']['slow_burn_threshold']:g}&times;.</p>")
-        parts.append("<table><tr><th>slo</th><th>kind</th>"
-                     "<th>objective</th><th>fast burn</th>"
-                     "<th>slow burn</th><th>state</th></tr>")
-        for slo in state["slos"]:
-            badge = ('<span class="badge firing">FIRING</span>'
-                     if slo["firing"] else '<span class="badge ok">ok</span>')
-            parts.append(
-                f'<tr class="{"firing" if slo["firing"] else ""}">'
-                f"<td><code>{html.escape(slo['name'])}</code></td>"
-                f"<td>{html.escape(slo['kind'])}</td>"
-                f"<td>{slo['objective']:g}</td>"
-                f"<td>{_fmt(slo['fast_burn'])}</td>"
-                f"<td>{_fmt(slo['slow_burn'])}</td>"
-                f"<td>{badge}</td></tr>")
-        parts.append("</table>")
+        parts.append(table(
+            ("slo", "kind", "objective", "fast burn", "slow burn", "state"),
+            [(f"<code>{html.escape(slo['name'])}</code>",
+              html.escape(slo["kind"]), f"{slo['objective']:g}",
+              fmt(slo["fast_burn"]), fmt(slo["slow_burn"]),
+              '<span class="badge firing">FIRING</span>' if slo["firing"]
+              else '<span class="badge ok">ok</span>')
+             for slo in state["slos"]],
+            ["firing" if slo["firing"] else "" for slo in state["slos"]]))
         if state["alerts"]:
             parts.append("<h2>Alert history</h2>")
-            parts.append("<table><tr><th>slo</th><th>fired at (s)</th>"
-                         "<th>resolved at (s)</th><th>peak fast burn</th>"
-                         "<th>exemplar traces</th></tr>")
-            for alert in state["alerts"]:
-                cls = "firing" if alert["firing"] else "resolved"
-                exemplars = ", ".join(
-                    f"<code>{html.escape(t)}</code>"
-                    for t in alert["exemplar_trace_ids"]) or "—"
-                parts.append(
-                    f'<tr class="{cls}">'
-                    f"<td><code>{html.escape(alert['slo'])}</code></td>"
-                    f"<td>{_fmt(alert['fired_at_s'])}</td>"
-                    f"<td>{_fmt(alert['resolved_at_s'])}</td>"
-                    f"<td>{_fmt(alert['fast_burn'])}</td>"
-                    f"<td>{exemplars}</td></tr>")
-            parts.append("</table>")
+            parts.append(table(
+                ("slo", "fired at (s)", "resolved at (s)", "peak fast burn",
+                 "exemplar traces"),
+                [(f"<code>{html.escape(alert['slo'])}</code>",
+                  fmt(alert["fired_at_s"]), fmt(alert["resolved_at_s"]),
+                  fmt(alert["fast_burn"]),
+                  ", ".join(f"<code>{html.escape(t)}</code>"
+                            for t in alert["exemplar_trace_ids"]) or "—")
+                 for alert in state["alerts"]],
+                ["firing" if alert["firing"] else "resolved"
+                 for alert in state["alerts"]]))
 
     if flight:
         parts.append("<h2>Flight recorder</h2>")
         parts.append('<p class="meta">the slowest and failed requests '
                      "retained with their trace ids — look these up in "
                      "the exported Chrome trace.</p>")
-        parts.append("<table><tr><th>trace id</th><th>status</th>"
-                     "<th>latency (s)</th></tr>")
-        rows = (flight.get("failures") or []) + (flight.get("slowest") or [])
-        seen = set()
-        for entry in rows:
-            trace_id = entry.get("trace_id", "")
-            if trace_id in seen:
-                continue
-            seen.add(trace_id)
-            parts.append(
-                "<tr>"
-                f"<td><code>{html.escape(str(trace_id))}</code></td>"
-                f"<td>{html.escape(str(entry.get('status', '?')))}</td>"
-                f"<td>{_fmt(entry.get('latency_s'))}</td></tr>")
-        parts.append("</table>")
+        entries = {}  # first entry per trace id: failures, then slowest
+        for entry in (flight.get("failures") or []) + \
+                (flight.get("slowest") or []):
+            entries.setdefault(entry.get("trace_id", ""), entry)
+        parts.append(table(
+            ("trace id", "status", "latency (s)"),
+            [(f"<code>{html.escape(str(trace_id))}</code>",
+              html.escape(str(entry.get("status", "?"))),
+              fmt(entry.get("latency_s")))
+             for trace_id, entry in entries.items()]))
 
     if trace_summary:
         parts.append("<h2>Distributed traces</h2>")
@@ -281,5 +237,4 @@ def render_obs_dashboard(scrapers: Dict[str, MetricsScraper],
                           "</code>")
         parts.append(f'<p class="meta">{"; ".join(detail)}.</p>')
 
-    parts.append("</body></html>")
-    return "\n".join(parts)
+    return page(title, "\n".join(parts), _CSS)

@@ -37,7 +37,6 @@ import logging
 import multiprocessing
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,6 +51,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.seeding import derive_seed
 from repro.runtime.serialization import deserialize_result, serialize_result
+from repro.runtime.study import atomic_write_json, fan_out
 
 logger = logging.getLogger(__name__)
 
@@ -232,9 +232,7 @@ class EngineReport:
     def write(self, path: Path) -> Path:
         """Write the full report JSON to *path*; returns the path."""
         path = Path(path)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        atomic_write_json(path, self.to_json_dict())
         return path
 
 
@@ -392,21 +390,8 @@ class ExperimentEngine:
     def _execute(self, pending: Sequence[Tuple[str, int, Optional[str]]],
                  fast: bool) -> List[dict]:
         """Execute the cache misses, in-process or on a process pool."""
-        if not pending:
-            return []
-        if self.jobs <= 1 or len(pending) == 1:
-            return [_execute_experiment(self.registry, name, derived, fast)
-                    for name, derived, _ in pending]
-        outcomes: Dict[str, dict] = {}
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {
-                pool.submit(_execute_experiment, self.registry, name,
-                            derived, fast): name
-                for name, derived, _ in pending
-            }
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    outcomes[futures[future]] = future.result()
-        return [outcomes[name] for name, _, _ in pending]
+        outcomes = dict(fan_out(
+            _execute_experiment,
+            [(self.registry, name, derived, fast)
+             for name, derived, _ in pending], self.jobs))
+        return [outcomes[i] for i in range(len(pending))]

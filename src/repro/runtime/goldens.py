@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
 from repro.runtime.engine import EngineReport, ExperimentEngine, ExperimentRecord
+from repro.runtime.study import atomic_write_json
 
 #: Golden file schema version.
 GOLDEN_SCHEMA_VERSION = 1
@@ -172,10 +173,7 @@ def write_goldens(report: EngineReport,
         if path.exists():
             with open(path, "r", encoding="utf-8") as handle:
                 previous = json.load(handle)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(build_golden(record, previous), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        atomic_write_json(path, build_golden(record, previous))
         written.append(path)
     return written
 

@@ -254,3 +254,73 @@ class TestReportBuilder:
             assert html.count("<polyline") == 3  # sdc, detected, crashed
             for offset in spec.offsets_v:
                 assert f"{abs(offset) * 1e3:g}" in html
+
+
+class TestCli:
+    """``python -m repro campaign ...`` end to end (the canned MSR
+    campaign at one sample per depth, sub-second)."""
+
+    RUN = ["campaign", "run", "--spec", "msr_bitflip_nginx", "--seed", "42",
+           "--samples", "1"]
+
+    def test_run_writes_artifacts_and_summary(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(self.RUN + ["--out", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        assert "campaign   : msr_bitflip_nginx" in text
+        assert "outcomes   :" in text
+        assert f"artifacts  : {tmp_path / REPORT_NAME}" in text
+        assert "incomplete" not in text
+        report = json.loads((tmp_path / REPORT_NAME).read_text())
+        assert report["n_completed"] == report["n_runs"]
+        assert (tmp_path / HTML_NAME).exists()
+
+    def test_interrupted_run_resumes_to_the_full_report(self, tmp_path,
+                                                         capsys):
+        from repro.cli import main
+
+        full = tmp_path / "full"
+        assert main(self.RUN + ["--out", str(full)]) == 0
+        part = tmp_path / "part"
+        assert main(self.RUN + ["--out", str(part), "--max-runs", "2"]) == 0
+        text = capsys.readouterr().out
+        assert "(2/" in text and "incomplete :" in text
+        assert main(["campaign", "resume", "--out", str(part)]) == 0
+        assert "incomplete" not in capsys.readouterr().out
+        for name in (REPORT_NAME, "campaign.ckpt.json", HTML_NAME):
+            assert (part / name).read_bytes() == (full / name).read_bytes()
+
+    def test_report_rerenders_the_identical_dashboard(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+
+        assert main(self.RUN + ["--out", str(tmp_path)]) == 0
+        original = (tmp_path / HTML_NAME).read_bytes()
+        (tmp_path / HTML_NAME).unlink()
+        assert main(["campaign", "report", "--out", str(tmp_path)]) == 0
+        assert f"wrote {tmp_path / HTML_NAME}" in capsys.readouterr().out
+        assert (tmp_path / HTML_NAME).read_bytes() == original
+
+    def test_list_names_the_canned_campaigns(self, capsys):
+        from repro.cli import main
+
+        assert main(["campaign", "list"]) == 0
+        out = capsys.readouterr().out
+        for name in CANNED_CAMPAIGNS:
+            assert name in out
+
+    def test_resume_with_another_seed_fails_loudly(self, tmp_path):
+        from repro.cli import main
+
+        assert main(self.RUN + ["--out", str(tmp_path),
+                                "--max-runs", "1"]) == 0
+        with pytest.raises(SystemExit, match="different"):
+            main(["campaign", "resume", "--out", str(tmp_path),
+                  "--seed", "43"])
+
+    def test_report_without_a_report_fails_loudly(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["campaign", "report", "--out", str(tmp_path)])
