@@ -80,6 +80,26 @@ def _resolve_profile(name: str):
         raise SystemExit(str(exc))
 
 
+def _call_service(args: argparse.Namespace, what: str, call):
+    """Connect to the service at ``args.host:args.port``, return
+    ``await call(client)``, close.  Unreachable: exit with "cannot
+    reach <what> at host:port: ..."."""
+    import asyncio
+
+    from repro.service.client import ServiceClient
+
+    async def once():
+        async with await ServiceClient.connect(args.host,
+                                               args.port) as client:
+            return await call(client)
+
+    try:
+        return asyncio.run(once())
+    except (ConnectionError, OSError) as exc:
+        raise SystemExit(
+            f"cannot reach {what} at {args.host}:{args.port}: {exc}")
+
+
 def _print_result(r) -> None:
     print(f"workload   : {r.workload}")
     print(f"cpu        : {r.cpu_name}")
@@ -204,27 +224,15 @@ def cmd_trace_run(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Fetch and print a running service's metrics."""
-    import asyncio
     import json
 
-    from repro.service.client import ServiceClient
+    async def fetch(client) -> str:
+        if args.json:
+            return json.dumps(await client.metrics(), indent=2,
+                              sort_keys=True)
+        return await client.metrics_text()
 
-    async def _fetch() -> str:
-        client = await ServiceClient.connect(args.host, args.port)
-        try:
-            if args.json:
-                return json.dumps(await client.metrics(), indent=2,
-                                  sort_keys=True)
-            return await client.metrics_text()
-        finally:
-            await client.close()
-
-    try:
-        text = asyncio.run(_fetch())
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(
-            f"cannot reach service at {args.host}:{args.port}: {exc}")
-    print(text.rstrip("\n"))
+    print(_call_service(args, "service", fetch).rstrip("\n"))
     return 0
 
 
@@ -397,20 +405,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     if args.fleet_cmd == "status":
-        from repro.service.client import ServiceClient
-
-        async def _status() -> dict:
-            client = await ServiceClient.connect(args.host, args.port)
-            try:
-                return await client.fleet_status()
-            finally:
-                await client.close()
-
         try:
-            fleet = asyncio.run(_status())
-        except (ConnectionError, OSError) as exc:
-            raise SystemExit(
-                f"cannot reach gateway at {args.host}:{args.port}: {exc}")
+            fleet = _call_service(args, "gateway",
+                                  lambda client: client.fleet_status())
         except ValueError as exc:
             raise SystemExit(str(exc))
         print(json.dumps(fleet, indent=2, sort_keys=True))
@@ -494,8 +491,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         GatewayConfig,
         NodeConfig,
         NodeSupervisor,
-        start_fleet_server,
     )
+    from repro.service.server import start_tcp_server
 
     async def _serve() -> None:
         supervisor = NodeSupervisor(NodeConfig(
@@ -516,7 +513,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 scaler = Autoscaler(gateway, supervisor, AutoscalerConfig(
                     min_nodes=args.nodes, max_nodes=args.max_nodes))
                 await scaler.start()
-            server = await start_fleet_server(gateway, args.host, args.port)
+            server = await start_tcp_server(gateway, args.host, args.port)
             port = server.sockets[0].getsockname()[1]
             mode = "in-process" if args.in_process else "subprocess"
             print(f"repro fleet gateway listening on {args.host}:{port}  "
@@ -860,63 +857,28 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
     # top / dashboard: poll a running service or gateway over TCP.
     from repro.obs.dashboard import render_obs_dashboard, render_top
-    from repro.obs.smoke import aggregate_snapshots
-    from repro.obs.timeseries import MetricsScraper
-    from repro.service.client import ServiceClient
+    from repro.obs.timeseries import ingest_metrics_answer
 
     scrapers: dict = {}
 
-    def ingest(answer: dict) -> None:
-        """One poll into the per-target scrapers.
-
-        A gateway answers ``{"gateway": ..., "nodes": {...}}`` (one
-        scraper per node plus an aggregated ``fleet`` one); a plain
-        node answers a flat registry snapshot.
-        """
-        def scraper(name: str) -> MetricsScraper:
-            return scrapers.setdefault(
-                name, MetricsScraper(interval_s=args.interval))
-        if "nodes" in answer and "gateway" in answer:
-            node_snaps = []
-            for name, snap in sorted((answer.get("nodes") or {}).items()):
-                if isinstance(snap, dict) and "error" not in snap:
-                    node_snaps.append(snap)
-                    scraper(name).ingest(snap)
-            scraper("fleet").ingest(aggregate_snapshots(node_snaps))
-        else:
-            scraper("service").ingest(answer)
-
-    async def _poll(frames: int) -> None:
-        client = await ServiceClient.connect(args.host, args.port)
-        try:
+    def poll(frames: int):
+        async def go(client) -> None:
             for frame in range(frames):
                 if frame:
                     await asyncio.sleep(args.interval)
-                ingest(await client.metrics())
+                ingest_metrics_answer(scrapers, await client.metrics(),
+                                      interval_s=args.interval)
                 if args.obs_cmd == "top" and frame:
                     print(render_top(scrapers, window_s=args.window))
                     print()
-        finally:
-            await client.close()
+        return go
 
-    try:
-        if args.obs_cmd == "top":
-            asyncio.run(_poll(args.frames + 1))
-            return 0
-        # dashboard: scrape, fetch the trace summary, write the HTML.
-        asyncio.run(_poll(max(2, args.scrapes)))
-
-        async def _trace() -> dict:
-            client = await ServiceClient.connect(args.host, args.port)
-            try:
-                return await client.trace()
-            finally:
-                await client.close()
-
-        trace = asyncio.run(_trace())
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(
-            f"cannot reach target at {args.host}:{args.port}: {exc}")
+    if args.obs_cmd == "top":
+        _call_service(args, "target", poll(args.frames + 1))
+        return 0
+    # dashboard: scrape, fetch the trace summary, write the HTML.
+    _call_service(args, "target", poll(max(2, args.scrapes)))
+    trace = _call_service(args, "target", lambda client: client.trace())
     merged = trace.get("merged")
     trace_summary = None
     if isinstance(merged, dict):

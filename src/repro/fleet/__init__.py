@@ -17,7 +17,8 @@ scale horizontally too.  This package promotes the single asyncio
   speaking the existing JSON-lines protocol: per-node health checks,
   pooled :class:`~repro.service.client.ServiceClient` connections,
   bounded retry-with-reroute on node failure, and fan-out aggregation
-  for the ``metrics`` / ``trace`` verbs.
+  for the ``metrics`` / ``trace`` verbs; served over TCP by the
+  node's own loop, :func:`~repro.service.server.start_tcp_server`.
 * :class:`~repro.fleet.autoscale.Autoscaler` — a control loop over
   the nodes' :mod:`repro.obs` signals (queue depth, p95 latency,
   utilization) with hysteresis and min/max bounds.
@@ -37,11 +38,7 @@ from repro.fleet.bench import (
     run_fleet_bench,
     run_fleet_bench_sync,
 )
-from repro.fleet.gateway import (
-    FleetGateway,
-    GatewayConfig,
-    start_fleet_server,
-)
+from repro.fleet.gateway import FleetGateway, GatewayConfig
 from repro.fleet.loadgen import (
     LoadGenConfig,
     LoadReport,
@@ -77,6 +74,5 @@ __all__ = [
     "stall_mix",
     "run_fleet_bench",
     "run_fleet_bench_sync",
-    "start_fleet_server",
     "write_bench",
 ]

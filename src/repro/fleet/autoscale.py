@@ -34,14 +34,14 @@ breaking-point report embeds — and in the gateway registry's
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.fleet.gateway import FleetGateway
 from repro.fleet.node import NodeSupervisor
 from repro.service.client import ServiceClient
 from repro.service.request import SimRequest
-from repro.testkit.clock import SYSTEM_CLOCK
+from repro.testkit.clock import SYSTEM_CLOCK, cancel_and_wait
 
 
 @dataclass
@@ -223,12 +223,9 @@ class Autoscaler:
         ring; a node that cannot be warmed still joins (the gateway's
         health loop owns reachability verdicts)."""
         try:
-            client = await ServiceClient.connect(host, port)
-            try:
+            async with await ServiceClient.connect(host, port) as client:
                 await asyncio.gather(
                     *(client.submit(request) for request in self.warmers))
-            finally:
-                await client.close()
         except (ConnectionError, OSError, ValueError):
             pass
 
@@ -280,10 +277,5 @@ class Autoscaler:
 
     async def stop(self) -> None:
         """Cancel the background control loop."""
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+        await cancel_and_wait(self._task)
+        self._task = None

@@ -25,6 +25,9 @@ Behind the socket:
   node's answer next to the gateway's own; Prometheus rendering
   exposes the gateway's fleet families (size, per-node inflight,
   reroutes, forward latency).
+* **Front door** — :meth:`FleetGateway.answer` is the op table that
+  :func:`~repro.service.server.start_tcp_server` serves: the same
+  JSON-lines loop as a node's, ``server.frame`` chaos site included.
 
 Chaos sites (:func:`repro.testkit.chaos.inject`): ``fleet.route`` on
 every routing decision, ``fleet.forward`` on every node forward,
@@ -35,9 +38,8 @@ every routing decision, ``fleet.forward`` on every node forward,
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro import __version__ as REPRO_VERSION
 from repro.obs.context import TraceContext, merge_process_traces
@@ -53,8 +55,9 @@ from repro.service.request import (
     SimRequest,
     SimResponse,
 )
+from repro.service.server import submit_frame
 from repro.testkit.chaos import inject
-from repro.testkit.clock import SYSTEM_CLOCK
+from repro.testkit.clock import SYSTEM_CLOCK, cancel_and_wait
 
 #: ``source`` value of responses the gateway failed without an answer.
 SOURCE_GATEWAY = "gateway"
@@ -188,9 +191,7 @@ class FleetGateway:
         self.ring.remove(name)
         self._last_node_hist.pop(name, None)
         if state is not None:
-            for client in state.clients:
-                await _close_quietly(client)
-            state.clients.clear()
+            await self._drop_connections(state)
         self._refresh_gauges()
 
     @property
@@ -221,8 +222,19 @@ class FleetGateway:
             if len(state.clients) < self.config.pool_size:
                 async with state.connect_lock:
                     if len(state.clients) < self.config.pool_size:
-                        state.clients.append(await ServiceClient.connect(
-                            state.host, state.port))
+                        client = await ServiceClient.connect(state.host,
+                                                             state.port)
+                        # A node removed (or a gateway closed) during
+                        # the connect has nobody left to close this
+                        # client: close it here and reroute.
+                        if (self._closed
+                                or self._nodes.get(state.name) is not state):
+                            await client.close()
+                            raise ConnectionError(
+                                f"node {state.name} left during connect")
+                        # Append to the pool as it is *now*: one that
+                        # was dropped during the connect is gone.
+                        state.clients.append(client)
             clients = list(state.clients)
             if clients:
                 state.next_client = (state.next_client + 1) % len(clients)
@@ -233,7 +245,7 @@ class FleetGateway:
         """Forget a node's pooled connections (after a failure)."""
         clients, state.clients = state.clients, []
         for client in clients:
-            await _close_quietly(client)
+            await client.close()
 
     # -- health ---------------------------------------------------------
 
@@ -304,13 +316,8 @@ class FleetGateway:
     async def close(self) -> None:
         """Stop the health loop and close every pooled connection."""
         self._closed = True
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
+        await cancel_and_wait(self._health_task)
+        self._health_task = None
         for state in self._nodes.values():
             await self._drop_connections(state)
 
@@ -557,6 +564,26 @@ class FleetGateway:
                 if prev is not None else None)
         return signals
 
+    async def answer(self, message: dict) -> dict:
+        """Answer one front-door frame: the gateway's op table (the
+        framing is :func:`~repro.service.server.start_tcp_server`'s)."""
+        op = message.get("op", "submit")
+        if op == "submit":
+            return await submit_frame(self, message)
+        if op == "metrics":
+            if message.get("format") == "prometheus":
+                return {"op": "metrics", "format": "prometheus",
+                        "text": self.metrics_text()}
+            return {"op": "metrics", "metrics": await self.metrics()}
+        if op == "trace":
+            return {"op": "trace", **await self.trace()}
+        if op == "status":
+            return {"op": "status", "fleet": await self.status()}
+        if op == "ping":
+            return {"op": "pong", "version": REPRO_VERSION,
+                    "role": "gateway", "fleet_size": len(self.node_names)}
+        return {"op": "error", "error": f"unknown op {op!r}"}
+
     async def status(self) -> dict:
         """The fleet control-plane view (``status`` verb, CLI)."""
         def flat(counter) -> Dict[str, int]:
@@ -576,112 +603,3 @@ class FleetGateway:
             },
         }
 
-
-async def _close_quietly(client: ServiceClient) -> None:
-    try:
-        await client.close()
-    except (ConnectionError, OSError, RuntimeError):
-        pass
-
-
-# -- the TCP front-end --------------------------------------------------
-
-async def _handle_gateway_message(gateway: FleetGateway, message: dict,
-                                  writer: "asyncio.StreamWriter",
-                                  lock: "asyncio.Lock") -> None:
-    """Answer one decoded frame on the gateway's front door."""
-    msg_id = message.get("id")
-    op = message.get("op", "submit")
-    try:
-        if op == "submit":
-            try:
-                request = SimRequest.from_dict(message.get("request") or {})
-                request.validate()
-            except InvalidRequestError as exc:
-                out = {"op": "error", "error": str(exc)}
-            else:
-                response = await gateway.submit(request)
-                out = response.to_dict()
-                out["op"] = "response"
-        elif op == "metrics":
-            if message.get("format") == "prometheus":
-                out = {"op": "metrics", "format": "prometheus",
-                       "text": gateway.metrics_text()}
-            else:
-                out = {"op": "metrics", "metrics": await gateway.metrics()}
-        elif op == "trace":
-            out = {"op": "trace"}
-            out.update(await gateway.trace())
-        elif op == "status":
-            out = {"op": "status", "fleet": await gateway.status()}
-        elif op == "ping":
-            out = {"op": "pong", "version": REPRO_VERSION,
-                   "role": "gateway",
-                   "fleet_size": len(gateway.node_names)}
-        else:
-            out = {"op": "error", "error": f"unknown op {op!r}"}
-    except Exception as exc:  # an unanswered frame wedges the client
-        out = {"op": "error", "error": f"internal gateway error: {exc!r}"}
-    if msg_id is not None:
-        out["id"] = msg_id
-    try:
-        async with lock:
-            writer.write(json.dumps(out).encode("utf-8") + b"\n")
-            await writer.drain()
-    except (ConnectionError, RuntimeError):
-        pass  # client went away mid-response
-
-
-async def _handle_gateway_connection(gateway: FleetGateway,
-                                     reader: "asyncio.StreamReader",
-                                     writer: "asyncio.StreamWriter") -> None:
-    """One JSON-lines connection on the front door; frames run
-    concurrently, exactly like the single-service server."""
-    lock = asyncio.Lock()
-    tasks: Set["asyncio.Task"] = set()
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                message = json.loads(line)
-            except ValueError:
-                async with lock:
-                    writer.write(b'{"op": "error", "error": "bad json"}\n')
-                    await writer.drain()
-                continue
-            if not isinstance(message, dict):
-                async with lock:
-                    writer.write(b'{"op": "error", '
-                                 b'"error": "frame must be a JSON object"}\n')
-                    await writer.drain()
-                continue
-            task = asyncio.get_running_loop().create_task(
-                _handle_gateway_message(gateway, message, writer, lock))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-        if tasks:
-            await asyncio.gather(*list(tasks), return_exceptions=True)
-    finally:
-        try:
-            writer.close()
-        except RuntimeError:
-            pass
-
-
-async def start_fleet_server(gateway: FleetGateway,
-                             host: str = "127.0.0.1",
-                             port: int = 0) -> "asyncio.AbstractServer":
-    """Expose *gateway* over JSON-lines TCP (same protocol as a node).
-
-    ``port=0`` binds an ephemeral port — read it back from
-    ``server.sockets[0].getsockname()[1]``.
-    """
-    async def handler(reader: "asyncio.StreamReader",
-                      writer: "asyncio.StreamWriter") -> None:
-        await _handle_gateway_connection(gateway, reader, writer)
-
-    return await asyncio.start_server(handler, host=host, port=port)

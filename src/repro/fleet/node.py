@@ -221,18 +221,14 @@ class NodeSupervisor:
             return
         handle.state = STATE_DRAINING
         if handle.service is not None:
-            if handle.server is not None:
-                handle.server.close()
-                await handle.server.wait_closed()
+            handle.server.close()
+            await handle.server.wait_closed()
             await handle.service.stop(drain=True, timeout_s=timeout_s)
         elif handle.process is not None:
             try:
-                client = await ServiceClient.connect(handle.host,
-                                                     handle.port)
-                try:
+                async with await ServiceClient.connect(
+                        handle.host, handle.port) as client:
                     await asyncio.wait_for(client.drain(), timeout_s)
-                finally:
-                    await client.close()
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 pass  # unreachable node: escalate to termination below
             handle.process.terminate()
@@ -255,17 +251,18 @@ class NodeSupervisor:
         if handle is None or handle.state == STATE_STOPPED:
             return
         if handle.service is not None:
-            if handle.server is not None:
-                handle.server.close()
-                await handle.server.wait_closed()
             # Reset established connections the way a process death
             # would — peers must see ConnectionResetError, not a
-            # polite shutdown answer.
+            # polite shutdown answer.  Abort them before waiting on the
+            # server: from python 3.12.1 on, wait_closed() also waits
+            # for every open connection.
+            handle.server.close()
             for writer in list(handle.connections):
                 transport = writer.transport
                 if transport is not None:
                     transport.abort()
             handle.connections.clear()
+            await handle.server.wait_closed()
             await handle.service.stop(drain=False, timeout_s=1.0)
         elif handle.process is not None:
             handle.process.kill()

@@ -40,7 +40,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     HistogramFamily,
-    HistogramSnapshot,
     MetricsRegistry,
     get_registry,
     latency_bounds,
@@ -80,7 +79,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramFamily",
-    "HistogramSnapshot",
     "JsonLogFormatter",
     "MetricsRegistry",
     "MetricsScraper",

@@ -22,15 +22,15 @@ and worker threads may all write concurrently.
 
 The bucket :class:`Histogram` keeps the semantics the service has
 always used (fixed ascending bounds, one implicit overflow bucket,
-percentiles read as the holding bucket's upper bound); it moved here
-from ``repro.service.metrics``, which now re-exports it.
+percentiles read as the holding bucket's upper bound).  Windowed
+reads over it live in :mod:`repro.obs.timeseries`
+(:func:`~repro.obs.timeseries.histogram_delta`).
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -52,22 +52,6 @@ def latency_bounds(lo: float = 1e-4, hi: float = 120.0) -> List[float]:
     while bounds[-1] < hi:
         bounds.append(bounds[-1] * 2.0)
     return bounds
-
-
-@dataclass(frozen=True)
-class HistogramSnapshot:
-    """An immutable point-in-time copy of one :class:`Histogram`.
-
-    Taken with :meth:`Histogram.snapshot`; two snapshots of the same
-    histogram subtract into a *windowed* histogram via
-    :meth:`Histogram.window` — the observations recorded between them.
-    """
-
-    bounds: Tuple[float, ...]
-    counts: Tuple[int, ...]
-    n: int
-    total: float
-    max_seen: float
 
 
 class Histogram:
@@ -126,44 +110,6 @@ class Histogram:
     def mean(self) -> Optional[float]:
         """Arithmetic mean of the observations; None when empty."""
         return self.total / self.n if self.n else None
-
-    def snapshot(self) -> HistogramSnapshot:
-        """An immutable copy of the current state (see
-        :class:`HistogramSnapshot`)."""
-        with self._lock:
-            return HistogramSnapshot(
-                bounds=tuple(self.bounds), counts=tuple(self.counts),
-                n=self.n, total=self.total, max_seen=self.max_seen)
-
-    def window(self, since: Optional[HistogramSnapshot] = None
-               ) -> "Histogram":
-        """A histogram of only the observations recorded after *since*.
-
-        This is what fixes the cumulative-histogram problem: a cold
-        warm-up's slow requests dominate ``percentile()`` forever, but
-        a scrape-to-scrape window forgets them as soon as they age out.
-        ``since=None`` (or a stale snapshot from before a reset, which
-        would produce negative deltas) returns a copy of the full
-        cumulative state.  The window's ``max_seen`` is conservatively
-        the cumulative maximum — the overflow bucket may over-report,
-        never under-report.
-        """
-        current = self.snapshot()
-        delta = Histogram(current.bounds)
-        if (since is not None and since.bounds == current.bounds
-                and since.n <= current.n
-                and all(s <= c for s, c in zip(since.counts,
-                                               current.counts))):
-            delta.counts = [c - s for c, s in zip(current.counts,
-                                                  since.counts)]
-            delta.n = current.n - since.n
-            delta.total = current.total - since.total
-        else:
-            delta.counts = list(current.counts)
-            delta.n = current.n
-            delta.total = current.total
-        delta.max_seen = current.max_seen if delta.n else 0.0
-        return delta
 
     def to_json_dict(self) -> dict:
         """JSON form: counts per bucket plus the headline percentiles."""

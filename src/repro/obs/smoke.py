@@ -41,10 +41,10 @@ from repro.obs.context import (
 )
 from repro.obs.dashboard import render_obs_dashboard
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
-from repro.obs.timeseries import MetricsScraper, percentile_of
+from repro.obs.timeseries import MetricsScraper, ingest_metrics_answer
 from repro.obs.tracer import Tracer, set_tracer
 
-__all__ = ["ObsSmokeConfig", "aggregate_snapshots", "run_obs_smoke"]
+__all__ = ["ObsSmokeConfig", "run_obs_smoke"]
 
 
 @dataclass
@@ -89,51 +89,6 @@ class ObsSmokeConfig:
 
 #: CPU names cycled through so route keys spread across the fleet.
 _CPUS = ("A", "B", "C", "i5")
-
-
-def _merge_hist(acc: Optional[dict], hist: dict) -> dict:
-    """Accumulate one histogram JSON dict into *acc* (bucket-wise)."""
-    out = {"n": int(hist.get("n", 0)), "mean": hist.get("mean"),
-           "max": hist.get("max"),
-           "buckets": [dict(b) for b in hist.get("buckets") or []]}
-    if acc is not None and ([b.get("le") for b in acc["buckets"]]
-                            == [b.get("le") for b in out["buckets"]]):
-        for mine, theirs in zip(out["buckets"], acc["buckets"]):
-            mine["count"] = int(mine.get("count", 0)) \
-                + int(theirs.get("count", 0))
-        total = ((out["mean"] or 0.0) * out["n"]
-                 + (acc["mean"] or 0.0) * acc["n"])
-        out["n"] += acc["n"]
-        out["mean"] = total / out["n"] if out["n"] else None
-        out["max"] = max(out.get("max") or 0.0, acc.get("max") or 0.0) \
-            if out["n"] else None
-    for p in (0.50, 0.95, 0.99):
-        out[f"p{int(p * 100)}"] = percentile_of(out, p)
-    return out
-
-
-def aggregate_snapshots(snapshots: List[dict]) -> dict:
-    """Sum per-node registry snapshots into one fleet-wide snapshot.
-
-    Counters and gauges add; histograms merge bucket-wise (identical
-    bounds — every node uses :func:`~repro.obs.registry.latency_bounds`)
-    with recomputed ``mean``/``max``/percentiles.  The result feeds one
-    :class:`~repro.obs.timeseries.MetricsScraper`, so fleet-level SLOs
-    use the same windowed arithmetic as a single node's.
-    """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    hists: Dict[str, dict] = {}
-    for snap in snapshots:
-        if not isinstance(snap, dict) or "error" in snap:
-            continue
-        for name, value in (snap.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in (snap.get("gauges") or {}).items():
-            gauges[name] = gauges.get(name, 0.0) + value
-        for name, hist in (snap.get("histograms") or {}).items():
-            hists[name] = _merge_hist(hists.get(name), hist)
-    return {"counters": counters, "gauges": gauges, "histograms": hists}
 
 
 class _DashboardCheck(HTMLParser):
@@ -207,14 +162,8 @@ async def _run(cfg: ObsSmokeConfig) -> dict:
         flight=gateway.flight)
 
     async def scrape() -> None:
-        answer = await gateway.metrics()
-        node_snaps = []
-        for name, snap in sorted((answer.get("nodes") or {}).items()):
-            if isinstance(snap, dict) and "error" not in snap:
-                node_snaps.append(snap)
-                scrapers.setdefault(
-                    name, MetricsScraper(interval_s=0.05)).ingest(snap)
-        scrapers["fleet"].ingest(aggregate_snapshots(node_snaps))
+        ingest_metrics_answer(scrapers, await gateway.metrics(),
+                              interval_s=0.05)
 
     def burst(n: int, sleep_s: float, tag: int) -> List[SimRequest]:
         return [SimRequest(cpu=_CPUS[i % len(_CPUS)],

@@ -27,7 +27,10 @@ accepts any snapshot dict — what a poller gets back from a remote
 node's ``metrics`` verb — so one scraper per fleet node is exactly the
 gateway-side wiring (:meth:`repro.fleet.gateway.FleetGateway
 .node_signals` keeps one histogram snapshot per node for the same
-delta arithmetic).
+delta arithmetic).  :func:`ingest_metrics_answer` is that wiring for a
+poller: one ``metrics`` answer — a node's snapshot, or a gateway's
+per-node snapshots plus their :func:`aggregate_snapshots` sum — into a
+dict of scrapers.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from repro.testkit.clock import SYSTEM_CLOCK
 __all__ = [
     "MetricsScraper",
     "Sample",
+    "aggregate_snapshots",
     "histogram_delta",
+    "ingest_metrics_answer",
     "percentile_of",
 ]
 
@@ -298,3 +303,71 @@ class MetricsScraper:
         while True:
             await self.clock.sleep(self.interval_s)
             self.scrape(registry)
+
+
+def _merge_hist(acc: Optional[dict], hist: dict) -> dict:
+    """Accumulate one histogram JSON dict into *acc* (bucket-wise)."""
+    out = {"n": int(hist.get("n", 0)), "mean": hist.get("mean"),
+           "max": hist.get("max"),
+           "buckets": [dict(b) for b in hist.get("buckets") or []]}
+    if acc is not None and ([b.get("le") for b in acc["buckets"]]
+                            == [b.get("le") for b in out["buckets"]]):
+        for mine, theirs in zip(out["buckets"], acc["buckets"]):
+            mine["count"] = int(mine.get("count", 0)) \
+                + int(theirs.get("count", 0))
+        total = ((out["mean"] or 0.0) * out["n"]
+                 + (acc["mean"] or 0.0) * acc["n"])
+        out["n"] += acc["n"]
+        out["mean"] = total / out["n"] if out["n"] else None
+        out["max"] = max(out.get("max") or 0.0, acc.get("max") or 0.0) \
+            if out["n"] else None
+    for p in (0.50, 0.95, 0.99):
+        out[f"p{int(p * 100)}"] = percentile_of(out, p)
+    return out
+
+
+def aggregate_snapshots(snapshots: List[dict]) -> dict:
+    """Sum per-node registry snapshots into one fleet-wide snapshot.
+
+    Counters and gauges add; histograms merge bucket-wise (identical
+    bounds — every node uses :func:`~repro.obs.registry.latency_bounds`)
+    with recomputed ``mean``/``max``/percentiles.  The result feeds one
+    :class:`MetricsScraper`, so fleet-level SLOs use the same windowed
+    arithmetic as a single node's.
+    """
+    counters: Dict[str, float] = {}
+    gauges: Dict[str, float] = {}
+    hists: Dict[str, dict] = {}
+    for snap in snapshots:
+        if not isinstance(snap, dict) or "error" in snap:
+            continue
+        for name, value in (snap.get("counters") or {}).items():
+            counters[name] = counters.get(name, 0) + value
+        for name, value in (snap.get("gauges") or {}).items():
+            gauges[name] = gauges.get(name, 0.0) + value
+        for name, hist in (snap.get("histograms") or {}).items():
+            hists[name] = _merge_hist(hists.get(name), hist)
+    return {"counters": counters, "gauges": gauges, "histograms": hists}
+
+
+def ingest_metrics_answer(scrapers: Dict[str, MetricsScraper],
+                          answer: dict, interval_s: float) -> None:
+    """One ``metrics`` answer into the per-target *scrapers*.
+
+    A gateway answers ``{"gateway": ..., "nodes": {...}}``: one scraper
+    per reachable node plus an aggregated ``fleet`` one.  A plain node
+    answers a flat registry snapshot, kept as ``service``.  Missing
+    scrapers are created with *interval_s*.
+    """
+    def scraper(name: str) -> MetricsScraper:
+        return scrapers.setdefault(name, MetricsScraper(interval_s=interval_s))
+
+    if "nodes" in answer and "gateway" in answer:
+        node_snaps = []
+        for name, snap in sorted((answer.get("nodes") or {}).items()):
+            if isinstance(snap, dict) and "error" not in snap:
+                node_snaps.append(snap)
+                scraper(name).ingest(snap)
+        scraper("fleet").ingest(aggregate_snapshots(node_snaps))
+    else:
+        scraper("service").ingest(answer)

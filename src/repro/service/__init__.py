@@ -24,7 +24,7 @@ See ``docs/service.md`` for the architecture and request lifecycle.
 
 from repro.service.batcher import Batch, MicroBatcher
 from repro.service.client import ServiceClient, request_simulations
-from repro.service.metrics import Histogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.request import (
     PRIORITY_BULK,
     PRIORITY_INTERACTIVE,
@@ -46,7 +46,6 @@ __all__ = [
     "Batch",
     "BatchExecutionError",
     "DeadlineScheduler",
-    "Histogram",
     "InvalidRequestError",
     "MicroBatcher",
     "PRIORITY_BULK",

@@ -7,10 +7,9 @@ requests can be in flight on a single connection.
 
 .. code-block:: python
 
-    client = await ServiceClient.connect("127.0.0.1", 8642)
-    response = await client.submit(SimRequest("C", "557.xz"))
-    snapshot = await client.metrics()
-    await client.close()
+    async with await ServiceClient.connect("127.0.0.1", 8642) as client:
+        response = await client.submit(SimRequest("C", "557.xz"))
+        snapshot = await client.metrics()
 
 **Reconnect hardening**: a connection that dies mid-exchange (peer
 reset, EOF, a fleet node crashing under load) is transparently
@@ -35,6 +34,7 @@ import json
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.service.request import SimRequest, SimResponse
+from repro.testkit.clock import cancel_and_wait
 
 
 class ServiceClient:
@@ -147,17 +147,18 @@ class ServiceClient:
             # Tear the old connection fully down first: the old read
             # loop must fail its pending futures and stop before the
             # new loop starts, or the two would race on _pending.
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
+            await cancel_and_wait(self._reader_task)
             try:
                 self._writer.close()
             except (ConnectionError, OSError, RuntimeError):
                 pass
             reader, writer = await asyncio.open_connection(
                 self._host, self._port)
+            if self._closed:
+                # close() ran while the connection was opening; installing
+                # it would leak its reader task and the peer's handler.
+                writer.close()
+                return
             self._reader = reader
             self._writer = writer
             self._reader_task = asyncio.get_running_loop().create_task(
@@ -239,20 +240,22 @@ class ServiceClient:
         return reply.get("fleet", {})
 
     async def close(self) -> None:
-        """Close the connection and stop the reader task."""
+        """Close the connection and stop the reader task; a connection
+        that is already dead closes quietly."""
         self._closed = True
         try:
             self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await self._writer.wait_closed()
+        except (ConnectionError, OSError, RuntimeError):
+            pass
         finally:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
+            await cancel_and_wait(self._reader_task)
+
+    async def __aenter__(self) -> "ServiceClient":
+        return self
+
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        await self.close()
 
 
 def request_simulations(requests: Sequence[Union[SimRequest, dict]],
@@ -271,13 +274,10 @@ def request_simulations(requests: Sequence[Union[SimRequest, dict]],
         Responses in request order.
     """
     async def _run() -> List[SimResponse]:
-        client = await ServiceClient.connect(host, port)
-        try:
+        async with await ServiceClient.connect(host, port) as client:
             work = client.submit_many(requests)
             if timeout_s is not None:
                 return await asyncio.wait_for(work, timeout_s)
             return await work
-        finally:
-            await client.close()
 
     return asyncio.run(_run())

@@ -11,12 +11,6 @@ Since the unified telemetry layer landed, this module is a thin facade
 over :class:`repro.obs.MetricsRegistry`: every counter, gauge and
 histogram lives in a (per-instance, injectable) registry, so the
 service shares one metrics model with the engine and the simulator.
-
-.. deprecated::
-    ``Histogram`` and ``latency_bounds`` moved to
-    :mod:`repro.obs.registry`; they are re-exported here so existing
-    imports (``from repro.service.metrics import Histogram``) keep
-    working.  New code should import them from :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from typing import Optional
 from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import Histogram, MetricsRegistry, latency_bounds
 
-__all__ = ["Histogram", "ServiceMetrics", "latency_bounds"]
+__all__ = ["ServiceMetrics"]
 
 #: Counter names the service increments, with their help strings.
 #: Pre-registered at zero so a scrape of an idle service still shows

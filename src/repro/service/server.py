@@ -20,7 +20,8 @@ Request lifecycle (see ``docs/service.md`` for the full walk-through):
 
 `start_tcp_server` exposes the service over a JSON-lines TCP protocol
 (one request object per line, ``id``-correlated concurrent responses)
-— the transport behind ``python -m repro serve`` and
+— the transport behind ``python -m repro serve``, ``python -m repro
+fleet serve`` (the same loop serves a fleet gateway) and
 :class:`~repro.service.client.ServiceClient`.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import logging
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -58,7 +60,9 @@ from repro.service.scheduler import (
 )
 from repro.service.workers import BatchExecutionError, ShardedWorkerTier
 from repro.testkit.chaos import inject
-from repro.testkit.clock import SYSTEM_CLOCK
+from repro.testkit.clock import SYSTEM_CLOCK, cancel_and_wait
+
+logger = logging.getLogger(__name__)
 
 
 def service_cache_dir() -> Path:
@@ -438,6 +442,44 @@ class SimulationService:
             if not entry.future.done():
                 entry.future.set_result({**outcome, "retries": retries})
 
+    async def answer(self, message: dict) -> dict:
+        """Answer one protocol frame: the node's op table (framing,
+        errors and the ``id`` echo live in :func:`start_tcp_server`)."""
+        op = message.get("op", "submit")
+        if op == "submit":
+            return await submit_frame(self, message)
+        if op == "metrics":
+            if message.get("format") == "prometheus":
+                return {"op": "metrics", "format": "prometheus",
+                        "text": self.metrics.prometheus_text()}
+            return {"op": "metrics", "metrics": self.metrics.snapshot()}
+        if op == "trace":
+            tracer = get_tracer()
+            return {"op": "trace", "enabled": tracer.enabled,
+                    "proc": self.proc_name,
+                    "origin_unix_s": tracer.origin_unix_s,
+                    "tracer_id": tracer.tracer_id,
+                    "events": [event.to_chrome()
+                               for event in tracer.events()],
+                    "flight": self.flight.to_json_dict()}
+        if op == "health":
+            # The cheap control-plane signals: what a fleet supervisor
+            # or autoscaler polls without paying for a metrics snapshot.
+            return {"op": "health",
+                    "status": "draining" if self.closed else "ok",
+                    "queue_depth": self.scheduler.depth,
+                    "inflight": self.inflight,
+                    "version": REPRO_VERSION}
+        if op == "drain":
+            # Stop admitting, finish accepted work, tear the tier down;
+            # the reply is the drain-complete acknowledgement a
+            # supervisor waits for before terminating the process.
+            await self.stop(drain=True)
+            return {"op": "drain", "status": "stopped"}
+        if op == "ping":
+            return {"op": "pong", "version": REPRO_VERSION}
+        return {"op": "error", "error": f"unknown op {op!r}"}
+
     async def stop(self, drain: bool = True,
                    timeout_s: float = 30.0) -> None:
         """Stop the service; with *drain*, finish admitted work first.
@@ -460,13 +502,8 @@ class SimulationService:
                           or self._inflight)
                and self.clock.monotonic() < deadline):
             await self.clock.sleep(0.005)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
+        await cancel_and_wait(self._dispatcher)
+        self._dispatcher = None
         if self._batch_tasks:
             await asyncio.gather(*list(self._batch_tasks),
                                  return_exceptions=True)
@@ -482,77 +519,87 @@ class SimulationService:
             store.cleanup()
 
 
-async def _handle_message(service: SimulationService, message: dict,
-                          writer: "asyncio.StreamWriter",
-                          lock: "asyncio.Lock") -> None:
-    """Answer one decoded protocol message on *writer*."""
-    msg_id = message.get("id")
-    op = message.get("op", "submit")
-    if op == "submit":
+async def submit_frame(target, message: dict) -> dict:
+    """The ``submit`` op of node and gateway alike: decode the request,
+    validate it, answer it with ``await target.submit(request)``.
+
+    Validation happens here, at the protocol boundary: a type-corrupt
+    field (say ``voltage_offset: null``) passes ``from_dict`` but would
+    make the response echo un-serializable, leaving the client without
+    any reply at all.
+    """
+    try:
+        request = SimRequest.from_dict(message.get("request") or {})
+        request.validate()
+    except InvalidRequestError as exc:
+        return {"op": "error", "error": str(exc)}
+    out = (await target.submit(request)).to_dict()
+    out["op"] = "response"
+    return out
+
+
+_BAD_JSON = b'{"op": "error", "error": "bad json"}\n'
+_NOT_OBJECT = b'{"op": "error", "error": "frame must be a JSON object"}\n'
+_TOO_LONG = b'{"op": "error", "error": "frame too long"}\n'
+
+
+async def _read_frame(reader: "asyncio.StreamReader") -> Optional[bytes]:
+    """The next frame line (``b""`` at EOF), or ``None`` for a frame
+    over the stream limit, which is skipped through its newline."""
+    oversize = False
+    while True:
         try:
-            request = SimRequest.from_dict(message.get("request") or {})
-            # Validate at the protocol boundary: a type-corrupt field
-            # (say voltage_offset: null) passes from_dict but would
-            # make the response echo un-serializable, leaving the
-            # client without any reply at all.
-            request.validate()
-        except InvalidRequestError as exc:
-            out = {"op": "error", "error": str(exc)}
-        else:
-            response = await service.submit(request)
-            out = response.to_dict()
-            out["op"] = "response"
-    elif op == "metrics":
-        if message.get("format") == "prometheus":
-            out = {"op": "metrics", "format": "prometheus",
-                   "text": service.metrics.prometheus_text()}
-        else:
-            out = {"op": "metrics", "metrics": service.metrics.snapshot()}
-    elif op == "trace":
-        tracer = get_tracer()
-        out = {"op": "trace", "enabled": tracer.enabled,
-               "proc": service.proc_name,
-               "origin_unix_s": tracer.origin_unix_s,
-               "tracer_id": tracer.tracer_id,
-               "events": [event.to_chrome() for event in tracer.events()],
-               "flight": service.flight.to_json_dict()}
-    elif op == "health":
-        # The cheap control-plane signals: what a fleet supervisor or
-        # autoscaler polls without paying for a full metrics snapshot.
-        out = {"op": "health",
-               "status": "draining" if service.closed else "ok",
-               "queue_depth": service.scheduler.depth,
-               "inflight": service.inflight,
-               "version": REPRO_VERSION}
-    elif op == "drain":
-        # Stop admitting, finish accepted work, tear the tier down;
-        # the reply is the drain-complete acknowledgement a supervisor
-        # waits for before terminating the process.
-        await service.stop(drain=True)
-        out = {"op": "drain", "status": "stopped"}
-    elif op == "ping":
-        out = {"op": "pong", "version": REPRO_VERSION}
-    else:
-        out = {"op": "error", "error": f"unknown op {op!r}"}
-    if msg_id is not None:
-        out["id"] = msg_id
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF, maybe after an unterminated frame
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            oversize = True
+            continue
+        return None if oversize else line
+
+
+async def _send(writer: "asyncio.StreamWriter", lock: "asyncio.Lock",
+                data: bytes) -> None:
+    """Write one reply line; a peer that went away gets nothing."""
     try:
         async with lock:
-            writer.write(json.dumps(out).encode("utf-8") + b"\n")
+            writer.write(data)
             await writer.drain()
     except (ConnectionError, RuntimeError):
-        pass  # peer went away mid-response; nothing to answer anymore
+        pass
 
 
-async def _handle_connection(service: SimulationService,
-                             reader: "asyncio.StreamReader",
+async def _answer(target, message: dict, writer: "asyncio.StreamWriter",
+                  lock: "asyncio.Lock") -> None:
+    """Answer one decoded frame on *writer*, echoing its ``id``."""
+    try:
+        out = await target.answer(message)
+    except Exception as exc:  # an unanswered frame wedges the client
+        logger.exception("frame %r failed", message.get("op", "submit"))
+        out = {"op": "error", "error": f"internal error: {exc!r}"}
+    msg_id = message.get("id")
+    if msg_id is not None:
+        out["id"] = msg_id
+    await _send(writer, lock, json.dumps(out).encode("utf-8") + b"\n")
+
+
+async def _handle_connection(target, reader: "asyncio.StreamReader",
                              writer: "asyncio.StreamWriter") -> None:
-    """Serve one JSON-lines connection; messages run concurrently."""
+    """Serve one JSON-lines connection until EOF or a peer reset;
+    frames run concurrently, and frames already read are still
+    answered (a reply to a vanished peer is dropped)."""
     lock = asyncio.Lock()
     tasks: Set["asyncio.Task"] = set()
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await _read_frame(reader)
+            except OSError:
+                break  # a peer reset is EOF
+            if line is None:
+                await _send(writer, lock, _TOO_LONG)
+                continue
             if not line:
                 break
             if not line.strip():
@@ -568,20 +615,15 @@ async def _handle_connection(service: SimulationService,
             try:
                 message = json.loads(line)
             except ValueError:
-                async with lock:
-                    writer.write(b'{"op": "error", "error": "bad json"}\n')
-                    await writer.drain()
+                await _send(writer, lock, _BAD_JSON)
                 continue
             if not isinstance(message, dict):
                 # json.loads happily returns scalars and arrays; only
                 # objects are protocol frames.
-                async with lock:
-                    writer.write(b'{"op": "error", '
-                                 b'"error": "frame must be a JSON object"}\n')
-                    await writer.drain()
+                await _send(writer, lock, _NOT_OBJECT)
                 continue
             task = asyncio.get_running_loop().create_task(
-                _handle_message(service, message, writer, lock))
+                _answer(target, message, writer, lock))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
         if tasks:
@@ -593,25 +635,29 @@ async def _handle_connection(service: SimulationService,
             pass
 
 
-async def start_tcp_server(service: SimulationService,
-                           host: str = "127.0.0.1",
-                           port: int = 0,
+async def start_tcp_server(target, host: str = "127.0.0.1", port: int = 0,
                            connections: Optional[Set] = None
                            ) -> "asyncio.AbstractServer":
-    """Expose *service* over JSON-lines TCP; returns the asyncio server.
+    """Serve *target* over JSON-lines TCP; returns the asyncio server.
 
-    ``port=0`` binds an ephemeral port — read it back from
-    ``server.sockets[0].getsockname()[1]``.  When *connections* is
-    given, every live connection's writer is tracked in it — the fleet
-    supervisor aborts those transports to make an in-process node kill
-    reset its peers exactly like a process death would.
+    *target* is anything with an async ``answer(message) -> dict`` op
+    table — a :class:`SimulationService` node or a
+    :class:`~repro.fleet.gateway.FleetGateway`.  This loop owns the
+    rest of the protocol: framing, the ``bad json``, non-object and
+    ``frame too long`` replies, the ``server.frame`` chaos site,
+    concurrent frames behind one write lock, the ``id`` echo, the
+    ``internal error`` reply and peer resets.  ``port=0`` binds an ephemeral port — read it back
+    from ``server.sockets[0].getsockname()[1]``.  When *connections*
+    is given, every live connection's writer is tracked in it — the
+    fleet supervisor aborts those transports to make an in-process
+    node kill reset its peers exactly like a process death would.
     """
     async def handler(reader: "asyncio.StreamReader",
                       writer: "asyncio.StreamWriter") -> None:
         if connections is not None:
             connections.add(writer)
         try:
-            await _handle_connection(service, reader, writer)
+            await _handle_connection(target, reader, writer)
         except asyncio.CancelledError:
             # Event-loop teardown cancels live connection handlers;
             # dying quietly beats a traceback per connection.

@@ -14,12 +14,16 @@ loaded CI machine.  Every such component now takes an optional
   interleave deterministically), so a 5 s batch window elapses in
   microseconds of real time and a test can step time explicitly with
   :meth:`FakeClock.advance`.
+
+:func:`cancel_and_wait` is the one teardown of a background task that
+the service and fleet tiers use.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from typing import Optional
 
 
 class SystemClock:
@@ -80,3 +84,26 @@ class FakeClock:
         target = self._now + max(0.0, float(seconds))
         while self._now < target:
             await asyncio.sleep(0)
+
+
+#: Real seconds between re-cancels of a task that swallowed a cancel.
+_RECANCEL_S = 0.05
+
+
+async def cancel_and_wait(task: Optional["asyncio.Task"]) -> None:
+    """Cancel the background *task* and return once it is done.
+
+    A task whose body swallowed the cancel (an ``except
+    CancelledError`` somewhere on its call path) is cancelled again
+    every 50 ms of real time until it ends.  A
+    cancellation aimed at the caller is never swallowed: it propagates
+    out of the wait.  An exception other than the cancel that ended
+    *task* is re-raised.  ``None`` is a no-op.
+    """
+    if task is None:
+        return
+    while not task.done():
+        task.cancel()
+        await asyncio.wait((task,), timeout=_RECANCEL_S)
+    if not task.cancelled():
+        task.result()

@@ -11,10 +11,9 @@ from repro.fleet import (
     GatewayConfig,
     NodeConfig,
     NodeSupervisor,
-    start_fleet_server,
 )
 from repro.fleet.ring import route_key
-from repro.service import ServiceClient, SimRequest
+from repro.service import ServiceClient, SimRequest, start_tcp_server
 from repro.service.request import STATUS_FAILED, STATUS_OK
 from repro.testkit.chaos import ChaosController, FaultPlan, FaultSpec
 
@@ -238,7 +237,7 @@ class TestFrontDoor:
     def test_client_cannot_tell_gateway_from_node(self):
         async def scenario():
             async with _Fleet(2) as fleet:
-                server = await start_fleet_server(fleet.gateway, port=0)
+                server = await start_tcp_server(fleet.gateway, port=0)
                 port = server.sockets[0].getsockname()[1]
                 client = await ServiceClient.connect("127.0.0.1", port)
                 try:
@@ -263,7 +262,7 @@ class TestFrontDoor:
     def test_front_door_rejects_garbage_frames(self):
         async def scenario():
             async with _Fleet(1) as fleet:
-                server = await start_fleet_server(fleet.gateway, port=0)
+                server = await start_tcp_server(fleet.gateway, port=0)
                 port = server.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", port)
@@ -285,7 +284,7 @@ class TestFrontDoor:
     def test_unknown_op_is_answered(self):
         async def scenario():
             async with _Fleet(1) as fleet:
-                server = await start_fleet_server(fleet.gateway, port=0)
+                server = await start_tcp_server(fleet.gateway, port=0)
                 port = server.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", port)

@@ -406,29 +406,6 @@ class TestTraceCli:
             main(["trace", "not_an_experiment", "--out", "/tmp/x.json"])
 
 
-class TestHistogramWindow:
-    def test_window_forgets_the_warm_up(self):
-        from repro.obs.registry import latency_bounds
-
-        histogram = Histogram(latency_bounds())
-        for _ in range(10):
-            histogram.observe(3.0)        # cold warm-up
-        since = histogram.snapshot()
-        for _ in range(90):
-            histogram.observe(0.002)      # steady state
-        assert histogram.percentile(0.95) >= 3.0    # cumulative remembers
-        windowed = histogram.window(since)
-        assert windowed.n == 90
-        assert windowed.percentile(0.95) < 0.01     # window forgets
-
-    def test_none_or_stale_snapshot_returns_cumulative(self):
-        histogram = Histogram([1.0])
-        histogram.observe(0.5)
-        assert histogram.window(None).n == 1
-        other = Histogram([1.0, 2.0])     # mismatched bounds
-        assert histogram.window(other.snapshot()).n == 1
-
-
 class TestCardinalityGuard:
     def test_new_series_collapse_onto_overflow(self):
         from repro.obs.registry import (

@@ -10,8 +10,8 @@ from repro.obs.dashboard import (
     sparkline_svg,
 )
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
-from repro.obs.smoke import aggregate_snapshots, validate_dashboard_html
-from repro.obs.timeseries import MetricsScraper
+from repro.obs.smoke import validate_dashboard_html
+from repro.obs.timeseries import MetricsScraper, aggregate_snapshots
 from repro.testkit.clock import FakeClock
 
 from tests.test_obs_timeseries import hist, snap

@@ -28,7 +28,7 @@ from repro.service.request import (
     SimRequest,
     SimResponse,
 )
-from repro.service.server import _handle_connection
+from repro.service.server import SimulationService, _handle_connection
 
 run = asyncio.run
 
@@ -128,7 +128,10 @@ class TestRequestProperties:
 
 
 class _StubService:
-    """submit() answers instantly; lets the parser run without workers."""
+    """submit() answers instantly; lets the parser run without workers.
+    ``answer`` is the real node op table, run against the stub."""
+
+    answer = SimulationService.answer
 
     class _Metrics:
         def prometheus_text(self):

@@ -11,11 +11,11 @@ import math
 
 import pytest
 
+from repro.obs import Histogram
 from repro.service import (
     AdmissionError,
     Batch,
     DeadlineScheduler,
-    Histogram,
     InvalidRequestError,
     MicroBatcher,
     PRIORITY_BULK,
