@@ -18,10 +18,9 @@ Subcommands:
 * ``campaign``  — structured fault-injection campaigns against the
   modeled machine (run / resume / report / list), with outcome
   classification and a static HTML dashboard.
-* ``fleet``     — the horizontal serving tier: ``serve`` (gateway over
-  N worker nodes, autoscaled), ``bench`` (breaking-point ramp,
-  writes ``BENCH_fleet.json``), ``status``, ``soak`` (kill a node
-  mid-load; zero wrong answers or exit 1).
+* ``fleet``     — a gateway over N worker nodes: ``serve``,
+  ``status``, ``soak`` (kill a node mid-load; zero wrong answers or
+  exit 1).
 * ``dse``       — evolutionary design-space exploration over SUIT
   operating points (run / resume / report / recommend / list):
   NSGA-II over (performance, energy, security headroom), Pareto
@@ -43,7 +42,6 @@ Examples:
     python -m repro dse run --search nginx_pareto --out out/dse/
     python -m repro dse recommend --out out/dse/
     python -m repro fleet serve --nodes 3 --port 8643
-    python -m repro fleet bench --nodes 3 --out BENCH_fleet.json
     python -m repro fleet status --port 8643
     python -m repro fleet soak --seed 42 --nodes 3 --requests 25 --bursts 8
 """
@@ -399,10 +397,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Fleet verbs: serve / bench / status / soak."""
+    """Fleet verbs: serve / status / soak."""
     import asyncio
     import json
-    from pathlib import Path
 
     if args.fleet_cmd == "status":
         try:
@@ -440,53 +437,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    if args.fleet_cmd == "bench":
-        from repro.fleet.bench import FleetBenchConfig, run_fleet_bench
-        from repro.fleet.loadgen import LoadGenConfig, write_bench
-
-        try:
-            config = FleetBenchConfig(
-                n_nodes=args.nodes,
-                use_processes=not args.inline,
-                n_shards=args.shards,
-                workers_per_shard=args.workers_per_shard,
-                autoscale=not args.no_autoscale,
-                max_nodes=args.max_nodes,
-                baseline=not args.no_baseline,
-                load=LoadGenConfig(
-                    start_rps=args.start_rps,
-                    step_rps=args.step_rps,
-                    max_steps=args.max_steps,
-                    requests_per_step=args.requests_per_step,
-                    slo_p95_s=args.slo_p95,
-                    slo_error_rate=args.slo_error_rate,
-                    seed=args.seed,
-                    stall_s=args.stall_s,
-                ),
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        payload = asyncio.run(run_fleet_bench(config))
-        write_bench(Path(args.out), payload)
-        comparison = payload["comparison"]
-        print(f"wrote {args.out}")
-        print(f"fleet       : {comparison['fleet_max_sustainable_rps']} rps "
-              f"sustainable (breaking point "
-              f"{payload['fleet']['breaking_point_rps']} rps)")
-        if comparison["single_node_max_sustainable_rps"] is not None:
-            print(f"single node : "
-                  f"{comparison['single_node_max_sustainable_rps']} rps "
-                  f"sustainable")
-            print(f"ratio       : {comparison['throughput_ratio']}x")
-        for event in payload["autoscaler"]["events"]:
-            print(f"  scale event: {event['action']} -> "
-                  f"{event['fleet_size']} nodes ({event['reason']})")
-        return 0
-
     # serve
     from repro.fleet import (
-        Autoscaler,
-        AutoscalerConfig,
         FleetGateway,
         GatewayConfig,
         NodeConfig,
@@ -502,24 +454,17 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             workers_per_shard=args.workers_per_shard,
         ))
         gateway = FleetGateway(GatewayConfig())
-        scaler = None
         server = None
         try:
             for _ in range(args.nodes):
                 handle = await supervisor.spawn()
                 gateway.add_node(handle.name, handle.host, handle.port)
             await gateway.start()
-            if not args.no_autoscale:
-                scaler = Autoscaler(gateway, supervisor, AutoscalerConfig(
-                    min_nodes=args.nodes, max_nodes=args.max_nodes))
-                await scaler.start()
             server = await start_tcp_server(gateway, args.host, args.port)
             port = server.sockets[0].getsockname()[1]
             mode = "in-process" if args.in_process else "subprocess"
             print(f"repro fleet gateway listening on {args.host}:{port}  "
-                  f"[{args.nodes} {mode} node(s), autoscale "
-                  f"{'off' if args.no_autoscale else f'<= {args.max_nodes}'}]",
-                  flush=True)
+                  f"[{args.nodes} {mode} node(s)]", flush=True)
             if args.duration is not None:
                 await asyncio.sleep(args.duration)
             else:
@@ -528,8 +473,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             if server is not None:
                 server.close()
                 await server.wait_closed()
-            if scaler is not None:
-                await scaler.stop()
             status = await gateway.status()
             await gateway.close()
             await supervisor.stop_all(drain=True)
@@ -1083,8 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("fleet",
-                       help="gateway + worker fleet (serve / bench / "
-                            "status / soak)")
+                       help="gateway + worker fleet (serve / status / "
+                            "soak)")
     fleet_sub = p.add_subparsers(dest="fleet_cmd", required=True)
     fs = fleet_sub.add_parser(
         "serve", help="run a gateway over N worker nodes")
@@ -1092,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--port", type=int, default=8643,
                     help="gateway TCP port (0 binds an ephemeral port)")
     fs.add_argument("--nodes", type=_positive_int, default=2,
-                    help="worker nodes to start with")
+                    help="worker nodes")
     fs.add_argument("--shards", type=_positive_int, default=1,
                     help="worker-pool shards per node")
     fs.add_argument("--workers-per-shard", type=_positive_int, default=2,
@@ -1102,47 +1045,12 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--in-process", action="store_true",
                     help="nodes on the gateway's event loop instead of "
                          "python -m repro serve subprocesses")
+    # No-op: perfbench's gateway workload passes it; both go in its next change.
     fs.add_argument("--no-autoscale", action="store_true",
-                    help="fixed fleet size (no control loop)")
-    fs.add_argument("--max-nodes", type=_positive_int, default=8,
-                    help="autoscaler growth ceiling")
+                    help=argparse.SUPPRESS)
     fs.add_argument("--duration", type=float, default=None,
                     help="serve for N seconds then drain (default: forever)")
     fs.set_defaults(func=cmd_fleet)
-    fb = fleet_sub.add_parser(
-        "bench", help="breaking-point ramp; writes BENCH_fleet.json")
-    fb.add_argument("--nodes", type=_positive_int, default=3,
-                    help="fleet size the scaled ramp starts with")
-    fb.add_argument("--shards", type=_positive_int, default=1,
-                    help="worker-pool shards per node")
-    fb.add_argument("--workers-per-shard", type=_positive_int, default=2,
-                    help="processes per shard, per node")
-    fb.add_argument("--inline", action="store_true",
-                    help="thread workers (GIL-bound: only for quick "
-                         "harness checks, not scaling claims)")
-    fb.add_argument("--no-autoscale", action="store_true",
-                    help="fixed fleet size during the ramp")
-    fb.add_argument("--max-nodes", type=_positive_int, default=5,
-                    help="autoscaler growth ceiling")
-    fb.add_argument("--no-baseline", action="store_true",
-                    help="skip the single-node comparison ramp")
-    fb.add_argument("--start-rps", type=float, default=25.0)
-    fb.add_argument("--step-rps", type=float, default=25.0)
-    fb.add_argument("--max-steps", type=_positive_int, default=8)
-    fb.add_argument("--requests-per-step", type=_positive_int, default=50)
-    fb.add_argument("--slo-p95", type=float, default=1.0,
-                    help="latency SLO in seconds")
-    fb.add_argument("--slo-error-rate", type=float, default=0.02,
-                    help="tolerated fraction of non-ok answers")
-    fb.add_argument("--stall-s", type=float, default=None,
-                    help="switch to the constant-service-time capacity "
-                         "mix with this per-request stall in seconds "
-                         "(the honest scaling measure on few-core "
-                         "hosts); default: CPU-bound simulation mix")
-    fb.add_argument("--seed", type=int, default=0)
-    fb.add_argument("--out", default="BENCH_fleet.json",
-                    help="report path")
-    fb.set_defaults(func=cmd_fleet)
     ft = fleet_sub.add_parser(
         "status", help="fetch a running gateway's fleet status")
     ft.add_argument("--host", default="127.0.0.1")

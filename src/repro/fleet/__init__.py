@@ -1,9 +1,10 @@
 """``repro.fleet``: N simulation services behind one logical front door.
 
-SUIT's economics are fleet economics — guardband shaving pays off in
-aggregate power across racks of machines, so the serving layer has to
-scale horizontally too.  This package promotes the single asyncio
-:class:`~repro.service.server.SimulationService` into a fleet:
+A fixed set of asyncio
+:class:`~repro.service.server.SimulationService` nodes behind one
+routing gateway.  The fleet adds no simulation of its own: it is the
+substrate of ``fleet serve``, the chaos-over-fleet soak, the
+cross-node trace and the observability smoke.
 
 * :class:`~repro.fleet.ring.ConsistentHashRing` — deterministic
   placement of canonical requests on nodes, keyed on
@@ -19,12 +20,6 @@ scale horizontally too.  This package promotes the single asyncio
   bounded retry-with-reroute on node failure, and fan-out aggregation
   for the ``metrics`` / ``trace`` verbs; served over TCP by the
   node's own loop, :func:`~repro.service.server.start_tcp_server`.
-* :class:`~repro.fleet.autoscale.Autoscaler` — a control loop over
-  the nodes' :mod:`repro.obs` signals (queue depth, p95 latency,
-  utilization) with hysteresis and min/max bounds.
-* :mod:`repro.fleet.loadgen` — the closed+open-loop load harness that
-  ramps RPS until SLO violation and writes the ``BENCH_fleet.json``
-  breaking-point report.
 * :class:`~repro.fleet.soak.FleetSoak` — chaos-over-fleet: kill a
   live node mid-load and let the differential oracle assert the
   gateway rerouted with zero wrong answers.
@@ -32,47 +27,20 @@ scale horizontally too.  This package promotes the single asyncio
 See ``docs/fleet.md`` for the architecture and operating guide.
 """
 
-from repro.fleet.autoscale import Autoscaler, AutoscalerConfig
-from repro.fleet.bench import (
-    FleetBenchConfig,
-    run_fleet_bench,
-    run_fleet_bench_sync,
-)
 from repro.fleet.gateway import FleetGateway, GatewayConfig
-from repro.fleet.loadgen import (
-    LoadGenConfig,
-    LoadReport,
-    LoadStep,
-    default_mix,
-    run_breaking_point,
-    stall_mix,
-    write_bench,
-)
 from repro.fleet.node import NodeConfig, NodeHandle, NodeSupervisor
 from repro.fleet.ring import ConsistentHashRing, route_key
 from repro.fleet.soak import FleetSoak, FleetSoakConfig, FleetSoakResult
 
 __all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
     "ConsistentHashRing",
-    "FleetBenchConfig",
     "FleetGateway",
     "FleetSoak",
     "FleetSoakConfig",
     "FleetSoakResult",
     "GatewayConfig",
-    "LoadGenConfig",
-    "LoadReport",
-    "LoadStep",
     "NodeConfig",
     "NodeHandle",
     "NodeSupervisor",
-    "default_mix",
     "route_key",
-    "run_breaking_point",
-    "stall_mix",
-    "run_fleet_bench",
-    "run_fleet_bench_sync",
-    "write_bench",
 ]

@@ -46,7 +46,6 @@ from repro.obs.context import TraceContext, merge_process_traces
 from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import MetricsRegistry, latency_bounds
 from repro.obs.slo import FlightRecorder
-from repro.obs.timeseries import histogram_delta, percentile_of
 from repro.obs.tracer import get_tracer
 from repro.service.client import ServiceClient
 from repro.service.request import (
@@ -139,10 +138,6 @@ class FleetGateway:
         self._closed = False
         #: Fleet-level exemplars (slowest / failed requests' trace ids).
         self.flight = FlightRecorder()
-        #: Last ``latency_s`` histogram snapshot per node — the delta
-        #: base that turns each node's cumulative histogram into the
-        #: windowed p95 the autoscaler scales on.
-        self._last_node_hist: Dict[str, dict] = {}
         # The fleet metric families, pre-registered so an idle
         # gateway's scrape still shows every series dashboards use.
         reg = self.registry
@@ -189,7 +184,6 @@ class FleetGateway:
         """Remove a member: out of the ring, connections closed."""
         state = self._nodes.pop(name, None)
         self.ring.remove(name)
-        self._last_node_hist.pop(name, None)
         if state is not None:
             await self._drop_connections(state)
         self._refresh_gauges()
@@ -524,45 +518,6 @@ class FleetGateway:
         return {"nodes": nodes, "merged": merged,
                 "origin_unix_s": tracer.origin_unix_s,
                 "flight": self.flight.to_json_dict()}
-
-    async def node_signals(self) -> Dict[str, dict]:
-        """The autoscaler's inputs, scraped per node.
-
-        Distils each node's ``health`` verb and :mod:`repro.obs`
-        metrics snapshot into ``{queue_depth, inflight, p95_latency_s,
-        windowed_p95_latency_s, draining}``; unreachable nodes come
-        back as ``{"error": ...}`` entries the control loop skips.
-
-        ``p95_latency_s`` reads the node's *cumulative* histogram and
-        never forgets a cold warm-up; ``windowed_p95_latency_s`` is the
-        p95 of only the observations since the previous scrape (delta
-        against the remembered snapshot), and is ``None`` when that
-        window saw no traffic or no previous scrape exists — the
-        signal the autoscaler prefers.
-        """
-        async def scrape(client: ServiceClient) -> dict:
-            health = await client.health()
-            snapshot = await client.metrics()
-            hist = snapshot.get("histograms", {}).get("latency_s", {})
-            return {
-                "queue_depth": float(health.get("queue_depth", 0)),
-                "inflight": float(health.get("inflight", 0)),
-                "draining": health.get("status") != "ok",
-                "p95_latency_s": hist.get("p95"),
-                "_latency_hist": hist,
-            }
-
-        signals = await self._fan_out(scrape)
-        for name, entry in signals.items():
-            hist = entry.pop("_latency_hist", None)
-            if not isinstance(hist, dict):
-                continue
-            prev = self._last_node_hist.get(name)
-            self._last_node_hist[name] = hist
-            entry["windowed_p95_latency_s"] = (
-                percentile_of(histogram_delta(hist, prev), 0.95)
-                if prev is not None else None)
-        return signals
 
     async def answer(self, message: dict) -> dict:
         """Answer one front-door frame: the gateway's op table (the

@@ -6,8 +6,8 @@ in either of two modes:
 
 * **in-process** (``NodeConfig.in_process=True``) — the node's service
   and TCP server live on the supervisor's own event loop.  This is the
-  mode of tests, ``make fleet-smoke`` and the breaking-point benchmark:
-  zero spawn latency, and with ``use_processes=True`` the nodes still
+  mode of tests, ``make fleet-smoke`` and ``make obs-smoke``: zero
+  spawn latency, and with ``use_processes=True`` the nodes still
   get real CPU parallelism from their worker *pools* even though their
   asyncio front-ends share one loop.
 * **subprocess** — a real ``python -m repro serve --port 0`` child per
@@ -110,25 +110,13 @@ class NodeHandle:
     #: :meth:`NodeSupervisor.kill` aborts these so peers see resets.
     connections: set = field(default_factory=set)
 
-    @property
-    def address(self) -> str:
-        """``host:port`` for logs and status output."""
-        return f"{self.host}:{self.port}"
-
-    def to_json_dict(self) -> dict:
-        """Status form (fleet ``status`` verb, reports)."""
-        return {"name": self.name, "host": self.host, "port": self.port,
-                "state": self.state,
-                "mode": "subprocess" if self.process is not None
-                else "in-process"}
-
 
 class NodeSupervisor:
     """Spawns, drains and kills the fleet's worker nodes.
 
     The supervisor owns node *lifecycle* only; membership in the
-    routing ring is the gateway's business (the autoscaler wires the
-    two together).  Names are handed out sequentially and never
+    routing ring is the gateway's business (``fleet serve`` and the
+    soak wire the two together).  Names are handed out sequentially and never
     reused, so a node that died and a node that replaced it are always
     distinguishable in logs and metrics.
 
@@ -146,10 +134,6 @@ class NodeSupervisor:
     def nodes(self) -> List[NodeHandle]:
         """Handles of every non-stopped node, in spawn order."""
         return [h for h in self._nodes.values() if h.state != STATE_STOPPED]
-
-    def get(self, name: str) -> Optional[NodeHandle]:
-        """The handle of *name*, stopped or not."""
-        return self._nodes.get(name)
 
     async def spawn(self) -> NodeHandle:
         """Start one new node and return its handle once reachable."""

@@ -4,8 +4,8 @@ Every metric in :mod:`repro.obs.registry` is cumulative-since-start —
 the right primitive for cheap lock-free writes, and the wrong shape
 for every operational question ("what is the p95 *now*?", "how many
 requests per second *currently*?").  A cold warm-up's slow requests
-sit in the cumulative ``latency_s`` histogram forever, which is why
-the autoscaler originally could not trust p95-based scaling.
+sit in the cumulative ``latency_s`` histogram forever, so a
+cumulative p95 never forgets them.
 
 :class:`MetricsScraper` fixes this at read time, the way Prometheus
 does: snapshot the registry on a fixed interval into a bounded ring
@@ -25,9 +25,7 @@ The scraper is transport-agnostic: :meth:`scrape` reads an in-process
 :class:`~repro.obs.registry.MetricsRegistry`, and :meth:`ingest`
 accepts any snapshot dict — what a poller gets back from a remote
 node's ``metrics`` verb — so one scraper per fleet node is exactly the
-gateway-side wiring (:meth:`repro.fleet.gateway.FleetGateway
-.node_signals` keeps one histogram snapshot per node for the same
-delta arithmetic).  :func:`ingest_metrics_answer` is that wiring for a
+gateway-side wiring.  :func:`ingest_metrics_answer` is that wiring for a
 poller: one ``metrics`` answer — a node's snapshot, or a gateway's
 per-node snapshots plus their :func:`aggregate_snapshots` sum — into a
 dict of scrapers.

@@ -220,8 +220,7 @@ class ServiceClient:
 
     async def health(self) -> dict:
         """The service's health verb: admission state, queue depth,
-        in-flight count — the cheap signals supervisors and
-        autoscalers poll."""
+        in-flight count — the cheap signals a supervisor polls."""
         return await self._roundtrip({"op": "health"})
 
     async def drain(self) -> dict:

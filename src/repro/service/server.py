@@ -464,7 +464,7 @@ class SimulationService:
                     "flight": self.flight.to_json_dict()}
         if op == "health":
             # The cheap control-plane signals: what a fleet supervisor
-            # or autoscaler polls without paying for a metrics snapshot.
+            # polls without paying for a metrics snapshot.
             return {"op": "health",
                     "status": "draining" if self.closed else "ok",
                     "queue_depth": self.scheduler.depth,
@@ -485,9 +485,11 @@ class SimulationService:
         """Stop the service; with *drain*, finish admitted work first.
 
         New submissions are rejected immediately; queued and in-flight
-        requests are completed (bounded by *timeout_s*), then the
-        dispatcher is cancelled and the worker pools shut down.  Without
-        *drain*, queued entries are failed with a shutdown error.
+        requests are completed, then the dispatcher is cancelled and the
+        worker pools shut down, and the call returns once their workers
+        have exited — all bounded by *timeout_s*.  Without *drain*,
+        queued entries are failed with a shutdown error and the pools
+        are left to exit on their own.
         """
         self._closed = True
         if not drain:
@@ -512,7 +514,18 @@ class SimulationService:
                 future.set_result({"status": "failed", "payload": None,
                                    "error": "service stopped"})
             self._inflight.pop(key, None)
-        self.tier.shutdown(wait=False)
+        if drain:
+            # A drained node's supervisor terminates it on return:
+            # join the pool workers first (off the loop, within the
+            # deadline) or they outlive it as orphans.
+            try:
+                await asyncio.wait_for(
+                    asyncio.to_thread(self.tier.shutdown, True),
+                    max(0.0, deadline - self.clock.monotonic()))
+            except asyncio.TimeoutError:
+                pass
+        else:
+            self.tier.shutdown(wait=False)
         if self._trace_store is not None:
             store, self._trace_store = self._trace_store, None
             store.deactivate()

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -119,6 +122,29 @@ class TestServe:
                      "--workers-per-shard", "1",
                      "--cache-dir", str(tmp_path)]) == 0
         assert "cache on" in capsys.readouterr().out
+
+
+def _perfbench_gateway_args():
+    """``perfbench/served.py``'s ``fleet serve`` argv, read from the file
+    so this test breaks when the benchmark's invocation does."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "served.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_served", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.GATEWAY_ARGS)
+
+
+class TestFleet:
+    def test_perfbench_gateway_argv_serves(self, capsys):
+        argv = _perfbench_gateway_args() + ["--duration", "1"]
+        assert main(argv) == 0
+        assert "listening on 127.0.0.1:" in capsys.readouterr().out
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestFigures:

@@ -4,8 +4,6 @@ and the JSON-lines front door.
 
 import asyncio
 
-import pytest
-
 from repro.fleet import (
     FleetGateway,
     GatewayConfig,
@@ -220,17 +218,6 @@ class TestFanOutAndMetrics:
                        "fleet_node_inflight", "fleet_requests_total",
                        "fleet_reroutes_total"):
             assert family in text
-
-    def test_node_signals_shape(self):
-        async def scenario():
-            async with _Fleet(2) as fleet:
-                return await fleet.gateway.node_signals()
-
-        signals = run(scenario())
-        assert len(signals) == 2
-        for entry in signals.values():
-            assert set(entry) >= {"queue_depth", "inflight", "draining"}
-            assert entry["draining"] is False
 
 
 class TestFrontDoor:

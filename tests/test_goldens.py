@@ -26,7 +26,8 @@ from repro.experiments.runall import EXPERIMENT_MODULES
 from repro.runtime import goldens
 from repro.runtime.seeding import derive_seed
 
-#: Experiments whose fast-mode run still takes minutes on one core.
+#: Experiments kept out of tier-1: table6_main's fast-mode run takes
+#: ~10.5 s on a 2-core host.
 SLOW_MODULES = frozenset({"table6_main"})
 
 

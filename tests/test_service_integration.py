@@ -17,6 +17,7 @@ drain, and a TCP server/client round-trip.
 """
 
 import asyncio
+import multiprocessing
 
 import pytest
 
@@ -292,6 +293,24 @@ class TestGracefulShutdown:
         responses = run(scenario())
         assert all(r.status in ("ok", "failed") for r in responses)
         assert any(r.status == "failed" for r in responses)
+
+    def test_drain_returns_after_pool_workers_exit(self):
+        async def scenario():
+            config = ServiceConfig(use_processes=True, n_shards=1,
+                                   workers_per_shard=2, batch_window_s=0.0)
+            before = set(multiprocessing.active_children())
+            service = SimulationService(config)
+            await service.start()
+            response = await service.submit(
+                SimRequest("C", "557.xz", strategy="e"))
+            workers = set(multiprocessing.active_children()) - before
+            await service.stop(drain=True)
+            return response, workers
+
+        response, workers = run(scenario())
+        assert response.ok, response.error
+        assert workers
+        assert not [w for w in workers if w.is_alive()]
 
 
 class TestTcpTransport:
